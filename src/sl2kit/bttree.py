@@ -91,6 +91,8 @@ class TreeContext:
         return self.coerce(0)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TreeContext):
             return NotImplemented
         if self.p != other.p:
@@ -130,10 +132,13 @@ class TreeVertex:
         raise AttributeError("TreeVertex is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TreeVertex):
             return NotImplemented
-        return (self.ctx == other.ctx and self.n == other.n
-                and self.b == other.b)
+        # equal vertices hash alike, so a hash mismatch settles most pairs
+        return (self._hash == other._hash and self.n == other.n
+                and self.ctx == other.ctx and self.b == other.b)
 
     def __hash__(self):
         return self._hash

@@ -122,9 +122,12 @@ class HPoint:
 
     def __init__(self, z, t):
         t = float(t)
+        z = complex(z)
         if not t > 0:
             raise DegenerateInputError(f"height must be positive, got {t}")
-        object.__setattr__(self, "z", complex(z))
+        if not (math.isfinite(t) and cmath.isfinite(z)):
+            raise DegenerateInputError("point coordinates must be finite")
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", t)
 
     def __setattr__(self, name, value):
@@ -156,8 +159,19 @@ def mobius_act(g, p: HPoint) -> HPoint:
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:
-    arg = 1.0 + (abs(p.z - q.z) ** 2 + (p.t - q.t) ** 2) / (2.0 * p.t * q.t)
-    return math.acosh(max(1.0, arg))
+    """arccosh(1 + (|z1 - z2|^2 + (t1 - t2)^2) / (2 t1 t2)), evaluated as
+    2 arcsinh(r) with r = |(z1, t1) - (z2, t2)| / (2 sqrt(t1 t2)).
+
+    The coordinates are quartered before they are subtracted and r is taken
+    in log space past 1e300, so the distance between any two points is
+    finite."""
+    h = math.hypot(p.z.real / 4 - q.z.real / 4, p.z.imag / 4 - q.z.imag / 4,
+                   p.t / 4 - q.t / 4)
+    s = math.sqrt(p.t) * math.sqrt(q.t)
+    if h < 5e299 * s:
+        return 2.0 * math.asinh(2.0 * h / s)
+    # arcsinh(r) = log(2 r) + O(r^-2)
+    return 2.0 * (math.log(4.0) + math.log(h)) - math.log(p.t) - math.log(q.t)
 
 
 def displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None = None) -> float:

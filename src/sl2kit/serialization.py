@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bttree import canonicalize
+from .errors import DegenerateInputError
 from .hyperbolic import HPoint
 from .matrices import Matrix, mat
 from .numberfield import FieldElement, NumberField, make_field
@@ -129,7 +130,11 @@ def parse_point(obj) -> HPoint:
     t = obj["t"]
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ValueError("point t must be a number")
-    return HPoint(complex(z[0], z[1]), float(t))
+    try:
+        return HPoint(complex(z[0], z[1]), float(t))
+    except OverflowError:  # a JSON integer beyond float range
+        raise DegenerateInputError("point coordinates must be finite") \
+            from None
 
 
 def parse_group(obj) -> MarkedGroup:

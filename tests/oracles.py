@@ -95,3 +95,65 @@ def random_nonzero_rational(rng, span=60):
         q = random_rational(rng, span)
         if q != 0:
             return q
+
+
+def matrix_word_ball(generators, max_len):
+    """Distinct products of at most max_len generators and inverses, by
+    Matrix multiplication, in breadth-first discovery order."""
+    from sl2kit import Matrix
+    steps = list(generators) + [g.inverse() for g in generators]
+    order = [Matrix.identity(2)]
+    seen = set(order)
+    frontier = list(order)
+    for _ in range(max_len):
+        nxt = []
+        for m in frontier:
+            for s in steps:
+                prod = m * s
+                if prod not in seen:
+                    seen.add(prod)
+                    order.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return order
+
+
+def brute_enumerate(primes, C):
+    """SL(2, Z[1/s]) elements with every displacement < C, by brute force.
+
+    Scans the cube of matrices with entries a/D, |a| <= D sqrt(2 cosh C) + 1
+    and D = prod p^floor(C/2), three entries free and the fourth solved from
+    det = 1 in Fractions.  The tree coordinates come from act and distance,
+    the hyperbolic one from the Moebius action.  Returns the accepted set and
+    the smallest |hyp - C| seen, so a caller can make sure no float tie
+    decided the answer."""
+    import math
+    from sl2kit import act, base_vertex, distance, mat, tree_context
+    D = 1
+    for p in primes:
+        D *= p ** int(C // 2)
+    B = int(D * math.sqrt(2 * math.cosh(C))) + 1
+    grid = [Fraction(a, D) for a in range(-B, B + 1)]
+    on_grid = set(grid)
+    v0s = [base_vertex(tree_context(p)) for p in primes]
+    found, margin = set(), math.inf
+    for a in grid:
+        for b in grid:
+            for c in grid:
+                if a != 0:
+                    quads = [(a, b, c, (1 + b * c) / a)]
+                elif b * c == -1:
+                    quads = [(a, b, c, d) for d in grid]
+                else:
+                    continue
+                for w, x, y, z in quads:
+                    if z not in on_grid:
+                        continue
+                    g = mat([[w, x], [y, z]])
+                    if any(distance(v0, act(g, v0)) >= C for v0 in v0s):
+                        continue
+                    hyp = displacement_oracle(g)
+                    margin = min(margin, abs(hyp - C))
+                    if hyp < C:
+                        found.add(g)
+    return found, margin

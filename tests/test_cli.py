@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, byte-stable output."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -112,6 +113,55 @@ def test_enumerate_budget_exit_2(capsys):
     doc = json.loads(out)
     assert doc["result"]["code"] == "BudgetExceeded"
     assert "over the budget of 1000" in doc["result"]["message"]
+
+
+def strict_json(out):
+    """Parse one envelope, refusing the non-JSON tokens Infinity and NaN."""
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+    return json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("C, rc, code", [("800", 2, "BudgetExceeded"),
+                                         ("1e300", 2, "BudgetExceeded"),
+                                         ("inf", 1, "Usage")])
+def test_enumerate_huge_bounds_give_envelopes(capsys, C, rc, code):
+    got, out = run(["enumerate", "--group", SL2Z, "--C", C], capsys)
+    assert got == rc
+    assert strict_json(out)["result"]["code"] == code
+
+
+def test_displacement_beyond_float_range(capsys):
+    g = json.dumps([["1" + "0" * 400, "0"], ["0", "1/1" + "0" * 400]])
+    rc, out = run(["displacement", "--g", g], capsys)
+    assert rc == 0
+    result = strict_json(out)["result"]
+    assert result["primes"] == [2, 5] and result["trees"] == [800, 800]
+    assert abs(result["hyp"] - 800 * math.log(10)) < 1e-6
+
+
+@pytest.mark.parametrize("x, y, expect", [
+    ({"z": [1e308, 0], "t": 1}, {"z": [-1e308, 0], "t": 1},
+     2 * (math.log(2) + 308 * math.log(10))),
+    ({"z": [1e300, 0], "t": 1e-300}, {"z": [0, 0], "t": 1},
+     900 * math.log(10)),
+    ({"z": [0, 0], "t": 1}, {"z": [0, 0], "t": 4}, math.log(4)),
+])
+def test_hyp_dist_extreme_points_finite(capsys, x, y, expect):
+    rc, out = run(["hyp-dist", "--x", json.dumps(x), "--y", json.dumps(y)],
+                  capsys)
+    assert rc == 0
+    assert abs(strict_json(out)["result"]["distance"] - expect) < 1e-6
+
+
+@pytest.mark.parametrize("x", ['{"z": [1e400, 0], "t": 1}',
+                               '{"z": [0, 0], "t": 1' + "0" * 400 + '}',
+                               '{"z": [NaN, 0], "t": 1}'])
+def test_hyp_dist_nonfinite_points_exit_2(capsys, x):
+    rc, out = run(["hyp-dist", "--x", x, "--y", '{"z": [0, 0], "t": 1}'],
+                  capsys)
+    assert rc == 2
+    assert strict_json(out)["result"]["code"] == "DegenerateInput"
 
 
 def test_check_proper_contained(capsys):

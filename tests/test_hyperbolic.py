@@ -96,6 +96,22 @@ def test_distance_examples():
     assert hyp_distance(p, q) == hyp_distance(q, p)
 
 
+def test_distance_matches_arccosh_formula():
+    rng = random.Random(37)
+    for _ in range(300):
+        p, q = (HPoint(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                       rng.uniform(0.1, 5)) for _ in range(2))
+        arg = 1 + (abs(p.z - q.z) ** 2 + (p.t - q.t) ** 2) / (2 * p.t * q.t)
+        assert abs(hyp_distance(p, q) - math.acosh(arg)) < 1e-9
+
+
+def test_points_must_be_finite():
+    for z, t in ((complex(math.inf, 0), 1.0), (0j, math.inf),
+                 (complex(0, math.nan), 1.0)):
+        with pytest.raises(DegenerateInputError):
+            HPoint(z, t)
+
+
 def test_distance_triangle_inequality():
     rng = random.Random(31)
     for _ in range(200):

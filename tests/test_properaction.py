@@ -1,21 +1,28 @@
 """Joint displacement over the active primes and the bounded-set search."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_sl2z
+import sl2kit.properaction as pa
+from oracles import (brute_enumerate, displacement_oracle, matrix_word_ball,
+                     random_sl2z)
 from sl2kit import (BudgetExceededError, DetNotOneError,
-                    EntryOutsideRingError, Matrix, UnsupportedError,
-                    displacement, displacement_hyp, enumerate_bounded,
-                    make_field, make_group, mat, properness_check,
-                    ring_detect, word_ball, word_bfs)
+                    EntryOutsideRingError, Matrix, UnsupportedError, act,
+                    base_vertex, displacement, displacement_hyp, distance,
+                    enumerate_bounded, make_field, make_group, mat,
+                    properness_check, ring_detect, word_ball, word_bfs)
 
 S = mat([[0, -1], [1, 0]])
 T = mat([[1, 1], [0, 1]])
 HALF = Fraction(1, 2)
+D2 = mat([[2, 0], [0, HALF]])
+D3 = mat([[3, 0], [0, Fraction(1, 3)]])
 
 
 def test_ring_detect_examples():
@@ -86,6 +93,16 @@ def test_enumerate_modular_group_tiny_bound():
     expect = {eye, eye.scale(-1), S, S.inverse()}
     assert res.elements == frozenset(expect)
     assert res.complete
+
+
+def test_enumerate_bound_below_decimal_default_precision():
+    # 2 cosh(1e-20) = 2 + 1e-40 needs more than 40 digits to tell from the
+    # N = 2 of the stabilizer elements
+    group = make_group([S, T])
+    eye = Matrix.identity(2)
+    stabilizer = frozenset({eye, eye.scale(-1), S, S.inverse()})
+    assert enumerate_bounded(group, 1e-20).elements == stabilizer
+    assert word_bfs(group, 3, 1e-20) == stabilizer
 
 
 def test_enumerate_contains_identity():
@@ -206,3 +223,82 @@ def test_random_words_satisfy_containment():
         g = random_sl2z(rng, size=7)
         if displacement(g, group).less_than(c):
             assert g in enum
+
+
+STEPS = [S, T, D2, D3, S.inverse(), T.inverse(), D2.inverse(), D3.inverse()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, len(STEPS) - 1), max_size=12))
+def test_kernel_profile_matches_oracles(word):
+    group = make_group([S, T, D2, D3])
+    g = Matrix.identity(2)
+    for i in word:
+        g = g * STEPS[i]
+    prof = displacement(g, group)
+    for p, t in zip(group.ring.primes, prof.trees):
+        v0 = base_vertex(group.tree_contexts[group.ring.primes.index(p)])
+        assert t == distance(v0, act(g, v0))
+    assert abs(prof.hyp - displacement_oracle(g)) < 1e-9
+
+
+def test_word_ball_matches_matrix_products():
+    for gens, length in (([S, T], 4), ([T, D2], 4), ([D3, S, D2], 3)):
+        assert word_ball(gens, length) == matrix_word_ball(gens, length)
+
+
+def test_word_bfs_matches_filtered_ball():
+    group = make_group([S, T, D2])
+    for c in (1.5, 2.5, 3.2):
+        expect = {g for g in matrix_word_ball(group.generators, 5)
+                  if all(distance(v0, act(g, v0)) < c
+                         for v0 in map(base_vertex, group.tree_contexts))
+                  and displacement_oracle(g) < c}
+        assert word_bfs(group, 5, c) == expect
+
+
+@pytest.mark.parametrize("s, c", [(1, 3.0), (2, 2.0), (2, 2.5), (3, 2.5),
+                                  (6, 2.2)])
+def test_enumerate_matches_brute_force(s, c):
+    primes = {1: (), 2: (2,), 3: (3,), 6: (2, 3)}[s]
+    gens = [S, T] + [mat([[p, 0], [0, Fraction(1, p)]]) for p in primes]
+    expect, margin = brute_enumerate(primes, c)
+    assert margin > 1e-6  # no float near-tie decided the brute force
+    assert enumerate_bounded(make_group(gens), c).elements == \
+        frozenset(expect)
+
+
+def _below_oracle(N, D2, C):
+    """N < 2 cosh(C) D2 at 120 digits; the margin is checked to dwarf the
+    rounding, so the answer is exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        x = decimal.Decimal(C)
+        bound = (x.exp() + (-x).exp()) * D2
+        assert abs(bound - N) > bound * decimal.Decimal(10) ** -100
+        return N < bound
+
+
+@pytest.mark.parametrize("g", [T, D2, S * D3 * T, T * D2 * T * D3.inverse()])
+def test_hyp_predicate_on_float_ties(g, monkeypatch):
+    # C is the float nearest the element's own displacement, so the float
+    # enclosure of 2 cosh C cannot separate N from the bound
+    a, b, c, d, den = pa._kernel(g)
+    N, den2 = a * a + b * b + c * c + d * d, den * den
+    c0 = math.acosh(N / (2 * den2))
+    decided = []
+    real = pa._HypBound.decide
+
+    def spy(self, n, d2):
+        decided.append(n)
+        return real(self, n, d2)
+
+    monkeypatch.setattr(pa._HypBound, "decide", spy)
+    group = make_group([g])
+    v0s = [base_vertex(ctx) for ctx in group.tree_contexts]
+    for C in (math.nextafter(c0, 0), c0, math.nextafter(c0, math.inf)):
+        expect = _below_oracle(N, den2, C)
+        assert pa._HypBound(C).below(N, den2) == expect
+        trees_ok = all(distance(v0, act(g, v0)) < C for v0 in v0s)
+        assert (g in word_bfs(group, 1, C)) == (expect and trees_ok)
+    assert decided.count(N) >= 3
