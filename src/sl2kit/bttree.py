@@ -32,7 +32,8 @@ from fractions import Fraction
 from .errors import SingularError
 from .matrices import Matrix, mat
 from .numberfield import FieldElement, NumberField
-from .valuations import INF, ExtendedValuation, PAdicValuation, extend
+from .valuations import (INF, ExtendedValuation, PAdicValuation, _frac_val,
+                         extend)
 
 
 class TreeContext:
@@ -170,19 +171,6 @@ def _reduce_fraction(b: Fraction, n: int, p: int) -> Fraction:
     mod = p ** (n - v)
     m = unit.numerator * pow(unit.denominator, -1, mod) % mod
     return m * Fraction(p) ** v
-
-
-def _frac_val(x: Fraction, p: int) -> int:
-    num, den, v = abs(x.numerator), x.denominator, 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def _reduce_offset(b, n: int, ctx: TreeContext):

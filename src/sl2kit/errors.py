@@ -43,8 +43,9 @@ class SingularError(Sl2KitError):
 class NotAValuationError(Sl2KitError):
     """The coefficientwise-minimum rule fails to be a valuation.
 
-    ``counterexample`` is a pair (x, y) with val(x*y) != val(x) + val(y)
-    when the search found one, else None.
+    ``counterexample`` is a pair (x, y) with val(x*y) != val(x) + val(y).
+    extend() builds it from a factorisation f = g*h of the defining
+    polynomial mod p, as x = g(gamma) and y = h(gamma).
     """
 
     code = "NotAValuation"

@@ -52,7 +52,7 @@ from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
 from .hyperbolic import ArchimedeanEmbedding, displacement_hyp
 from .matrices import Matrix, mat
 from .numberfield import FieldElement, NumberField
-from .valuations import _int_val
+from .valuations import _int_val, _prime_factors
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "SL2KIT_ENUM_BUDGET"
@@ -74,20 +74,6 @@ class Ring:
     def __repr__(self):
         gen = ", gamma" if self.field is not None else ""
         return f"Ring(Z[1/{self.s}{gen}], primes={list(self.primes)})"
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _entry_denominator(x) -> int:
@@ -153,19 +139,28 @@ def make_group(generators, field: NumberField | None = None,
 
 
 class DisplacementProfile:
-    """Per-prime tree displacements plus the hyperbolic displacement."""
+    """Per-prime tree displacements plus the hyperbolic displacement.
 
-    __slots__ = ("trees", "hyp")
+    A rational profile also keeps the exact (N, D^2) of its kernel tuple, so
+    less_than() decides hyp < bound exactly, as word_bfs and
+    enumerate_bounded do; a field profile compares the float hyp."""
 
-    def __init__(self, trees, hyp: float):
+    __slots__ = ("trees", "hyp", "_exact")
+
+    def __init__(self, trees, hyp: float, _exact=None):
         object.__setattr__(self, "trees", tuple(trees))
         object.__setattr__(self, "hyp", float(hyp))
+        object.__setattr__(self, "_exact", _exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("DisplacementProfile is immutable")
 
     def less_than(self, bound: float) -> bool:
-        return all(t < bound for t in self.trees) and self.hyp < bound
+        if not all(t < bound for t in self.trees):
+            return False
+        if self._exact is None:
+            return self.hyp < bound
+        return _HypBound(bound).below(*self._exact)
 
     def __repr__(self):
         return f"DisplacementProfile(trees={list(self.trees)}, hyp={self.hyp:.6g})"
@@ -201,8 +196,9 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
             trees.append(distance(v0, act(g, v0)))
         return DisplacementProfile(trees, displacement_hyp(g, group.embedding))
     a, b, c, d, D = _kernel(g)
+    N, D2 = a * a + b * b + c * c + d * d, D * D
     return DisplacementProfile(_tree_moves(D, group.ring.primes),
-                               _hyp_value(a * a + b * b + c * c + d * d, D * D))
+                               _hyp_value(N, D2), (N, D2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,20 @@ The p-adic valuation sends p^n * a/b (a, b prime to p) to n, and 0 to +infinity
 
 The extension to Q(gamma) takes the minimum of the p-adic valuations of the
 power-basis coefficients.  That rule is a genuine valuation exactly when the
-defining polynomial stays irreducible modulo p (the extension is then
+defining polynomial f stays irreducible modulo p (the extension is then
 unramified with residue field of size p^degree); extend() certifies this gate
-and refuses otherwise, attaching a concrete multiplicativity counterexample
-when its search finds one.  Example of a refusal: p = 2 with gamma^2 = 2 has
-val(gamma) = 0 by the rule, yet val(gamma^2) = val(2) = 1.
+and refuses otherwise.  A refusal carries a multiplicativity counterexample
+built from the factor found mod p (Cohen, GTM 138, section 3.4): if
+f = g*h mod p with g, h monic of degree below deg f and coefficients in
+0..p-1, then x = g(gamma) and y = h(gamma) have rule value 0, while
+x*y = (g*h - f)(gamma) has every coefficient divisible by p and is nonzero
+because f is irreducible over Q.  Example of a refusal: p = 2 with
+gamma^2 = 2 has val(gamma) = 0 by the rule, yet val(gamma^2) = val(2) = 1.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .errors import NotAValuationError
@@ -24,15 +27,23 @@ from .numberfield import FieldElement, NumberField
 INF = math.inf
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+# ---------------------------------------------------------------------------
+# trial division and p-adic valuations of integers and fractions
+# ---------------------------------------------------------------------------
+
+def _prime_factors(n: int):
+    """The distinct prime factors of n, ascending; () for n < 2."""
+    out = []
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def _int_val(n: int, p: int) -> int:
@@ -44,13 +55,28 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
+def _frac_val(x: Fraction, p: int) -> int:
+    """v_p of a nonzero Fraction; a reduced fraction has p in at most one of
+    its numerator and denominator, so a positive count ends the search."""
+    num, den, v = abs(x.numerator), x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    if v:
+        return v
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 class PAdicValuation:
     """The valuation nu_p on Q; call it on an int or Fraction."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or _prime_factors(p) != (p,):
             raise ValueError(f"p must be a prime number, got {p!r}")
         object.__setattr__(self, "p", p)
 
@@ -72,7 +98,7 @@ class PAdicValuation:
             raise TypeError(f"expected a rational number, got {type(x).__name__}")
         if x == 0:
             return INF
-        return _int_val(x.numerator, self.p) - _int_val(x.denominator, self.p)
+        return _frac_val(x, self.p)
 
     def __repr__(self):
         return f"PAdicValuation(p={self.p})"
@@ -81,84 +107,41 @@ class PAdicValuation:
 # ---------------------------------------------------------------------------
 # extension to a number field
 # ---------------------------------------------------------------------------
+# Polynomials are coefficient tuples, constant term first.
 
-def _poly_mod_p(coeffs, p: int) -> tuple:
-    return tuple(c % p for c in coeffs)
+def _divmod_mod_p(f, g, p: int):
+    """Quotient and remainder of f by the monic g in F_p[x], as lists with
+    entries in 0..p-1; the remainder has deg g entries."""
+    rem = [c % p for c in f]
+    dg = len(g) - 1
+    quot = [0] * (len(rem) - dg)
+    for shift in range(len(quot) - 1, -1, -1):
+        lead = quot[shift] = rem[shift + dg]
+        if lead:
+            for i, c in enumerate(g):
+                rem[shift + i] = (rem[shift + i] - lead * c) % p
+    return quot, rem[:dg]
 
 
-def _has_root_mod_p(coeffs, p: int) -> bool:
+def _factor_mod_p(f, p: int):
+    """A monic factor of f mod p of degree below deg f, or None.
+
+    For deg f <= 4 (the field degrees allowed), f is reducible mod p exactly
+    when it has a root or, for a quartic, a quadratic divisor: x - r for the
+    first root r in 0..p-1, else the first x^2 + b*x + c in (b, c) order."""
+    if len(f) < 3:
+        return None
     for r in range(p):
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(f):
             acc = (acc * r + c) % p
         if acc == 0:
-            return True
-    return False
-
-
-def _divides_mod_p(divisor, coeffs, p: int) -> bool:
-    """Does the monic ``divisor`` divide ``coeffs`` in F_p[x]?"""
-    rem = list(coeffs)
-    dd = len(divisor) - 1
-    while len(rem) - 1 >= dd and any(c % p for c in rem):
-        lead = rem[-1] % p
-        if lead == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(divisor):
-            rem[shift + i] = (rem[shift + i] - lead * c) % p
-        while rem and rem[-1] % p == 0:
-            rem.pop()
-    return not any(c % p for c in rem)
-
-
-def _irreducible_mod_p(coeffs, p: int) -> bool:
-    cs = _poly_mod_p(coeffs, p)
-    deg = len(cs) - 1
-    if deg == 1:
-        return True
-    if _has_root_mod_p(cs, p):
-        return False
-    if deg == 4:
-        # no linear factor; a factorization must involve a quadratic
+            return ((-r) % p, 1)
+    if len(f) == 5:
         for b in range(p):
             for c in range(p):
-                if _divides_mod_p((c, b, 1), cs, p):
-                    return False
-    return True
-
-
-def _min_rule(x, base: PAdicValuation):
-    """The coefficientwise-minimum rule, computed without an ExtendedValuation."""
-    vals = [base(c) for c in x.coeffs]
-    return min(vals)
-
-
-def _find_counterexample(field: NumberField, base: PAdicValuation):
-    """A pair (x, y) with rule(xy) != rule(x) + rule(y), or None.
-
-    Deterministic small candidates first (powers and shifts of gamma), then a
-    seeded random sweep.
-    """
-    p = base.p
-    g = field.gamma()
-    candidates = [g ** k for k in range(1, field.degree + 1)]
-    candidates += [g + c for c in range(1, p + 2)]
-    candidates += [g - c for c in range(1, p + 2)]
-    rng = random.Random(20211)
-    for _ in range(400):
-        coeffs = tuple(Fraction(rng.randint(-p * p, p * p))
-                       for _ in range(field.degree))
-        x = field.element(coeffs)
-        if x:
-            candidates.append(x)
-    for i, x in enumerate(candidates):
-        for y in candidates[i:]:
-            if not x or not y:
-                continue
-            if _min_rule(x * y, base) != _min_rule(x, base) + _min_rule(y, base):
-                return (x, y)
+                if not any(_divmod_mod_p(f, (c, b, 1), p)[1]):
+                    return (c, b, 1)
     return None
 
 
@@ -166,17 +149,15 @@ def extend(p: int, field: NumberField) -> "ExtendedValuation":
     """Extend nu_p to Q(gamma), gated on irreducibility of the minimal
     polynomial modulo p."""
     base = PAdicValuation(p)
-    if not _irreducible_mod_p(field.minpoly, p):
-        pair = _find_counterexample(field, base)
-        detail = ""
-        if pair is not None:
-            x, y = pair
-            detail = (f"; counterexample x = {x!r}, y = {y!r} has "
-                      f"rule(x*y) != rule(x) + rule(y)")
+    g = _factor_mod_p(field.minpoly, p)
+    if g is not None:
+        h, _ = _divmod_mod_p(field.minpoly, g, p)
+        x, y = field.element(g), field.element(h)
         raise NotAValuationError(
             f"defining polynomial is reducible mod {p}, so the "
-            f"coefficientwise-minimum rule is not a valuation{detail}",
-            counterexample=pair)
+            f"coefficientwise-minimum rule is not a valuation; counterexample "
+            f"x = {x!r}, y = {y!r} has rule(x*y) != rule(x) + rule(y)",
+            counterexample=(x, y))
     return ExtendedValuation(base, field)
 
 

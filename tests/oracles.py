@@ -157,3 +157,23 @@ def brute_enumerate(primes, C):
                     if hyp < C:
                         found.add(g)
     return found, margin
+
+
+def reducible_mod_p(f, p):
+    """Is the monic f (constant term first) a product of two monic factors
+    of positive degree mod p?  Multiplies out every pair of monic
+    polynomials mod p whose degrees sum to deg f."""
+    from itertools import product
+    n = len(f) - 1
+    target = [c % p for c in f]
+    for d in range(1, n // 2 + 1):
+        for g_low in product(range(p), repeat=d):
+            for h_low in product(range(p), repeat=n - d):
+                g, h = g_low + (1,), h_low + (1,)
+                gh = [0] * (n + 1)
+                for i, a in enumerate(g):
+                    for j, b in enumerate(h):
+                        gh[i + j] += a * b
+                if [c % p for c in gh] == target:
+                    return True
+    return False

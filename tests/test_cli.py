@@ -43,6 +43,20 @@ def test_valuate_gate_failure(capsys):
     assert doc["result"]["counterexample"] == [["0", "1"], ["0", "1"]]
 
 
+def test_valuate_gate_failure_at_large_prime(capsys):
+    # x^2 + 2 splits mod 1000003; the pair comes from its factors there
+    p = 1000003
+    rc, out = run(["valuate", "--p", str(p), "--minpoly", "[2,0,1]",
+                   "--x", '["1","1"]'], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["result"]["code"] == "NotAValuation"
+    (g0, g1), (h0, h1) = ([int(c) for c in e]
+                          for e in doc["result"]["counterexample"])
+    assert g1 == h1 == 1 and 0 <= g0 < p and 0 <= h0 < p
+    assert (g0 * h0 - 2) % p == 0 and (g0 + h0) % p == 0
+
+
 def test_valuate_rejects_composite_prime(capsys):
     rc, out = run(["valuate", "--p", "4", "--x", "1"], capsys)
     assert rc == 1

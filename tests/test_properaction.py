@@ -69,6 +69,17 @@ def test_profile_less_than_is_strict():
     assert not prof.less_than(1.0)
 
 
+def test_profile_less_than_is_exact_at_float_tie():
+    # hyp(T) = arccosh(3/2); the float C = acosh(1.5) lies just above it,
+    # and the float hyp rounds to C itself, so only an exact comparison
+    # agrees with word_bfs and enumerate_bounded
+    group = make_group([S, T])
+    C = math.acosh(1.5)
+    assert T in word_bfs(group, 1, C)
+    assert T in enumerate_bounded(group, C).elements
+    assert displacement(T, group).less_than(C)
+
+
 def test_word_ball_growth():
     assert word_ball([S, T], 0) == [Matrix.identity(2)]
     b1 = word_ball([S, T], 1)

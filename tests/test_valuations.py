@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_nonzero_rational
+from oracles import random_nonzero_rational, reducible_mod_p
 from sl2kit import (INF, NotAValuationError, PAdicValuation, extend,
                     make_field)
 
@@ -19,7 +19,7 @@ def test_padic_examples():
 
 
 def test_padic_rejects_nonprime():
-    for bad in (1, 4, 6, -3, 0):
+    for bad in (1, 4, 6, -3, 0, True, 2.0):
         with pytest.raises(ValueError):
             PAdicValuation(bad)
 
@@ -139,3 +139,62 @@ def test_extended_rejects_foreign_elements():
     v = extend(2, k)
     with pytest.raises(TypeError):
         v(other.gamma())
+
+
+GRID_PRIMES = (2, 3, 5, 7, 11, 13)
+GRID_POLYS = (
+    (1, 0, 1), (-2, 0, 1), (1, 1, 1), (-5, 0, 1), (3, 0, 1),
+    (-2, 0, 0, 1), (1, 1, 0, 1), (1, -3, 0, 1), (2, 0, 0, 1),
+    (1, 0, 0, 0, 1), (1, 1, 0, 0, 1), (-2, 0, 0, 0, 1), (1, 1, 1, 1, 1),
+    (1, 0, -10, 0, 1),  # (x^2 - 5)^2 - 24 x^2: reducible mod every prime
+)
+
+
+def _hand_rule(e, p):
+    """min over coefficients of v_p, from the numerators and denominators."""
+    def v(q):
+        num, den, n = q.numerator, q.denominator, 0
+        while num % p == 0:
+            num //= p
+            n += 1
+        while den % p == 0:
+            den //= p
+            n -= 1
+        return n
+    return min(v(c) for c in e.coeffs if c != 0)
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_gate_matches_brute_force_factor_oracle(p):
+    for f in GRID_POLYS:
+        k = make_field(f)
+        if not reducible_mod_p(f, p):
+            assert extend(p, k).residue_size == p ** k.degree, (p, f)
+            continue
+        with pytest.raises(NotAValuationError) as exc:
+            extend(p, k)
+        x, y = exc.value.counterexample
+        assert x != 0 and y != 0 and x * y != 0, (p, f)
+        assert _hand_rule(x, p) == 0 and _hand_rule(y, p) == 0, (p, f)
+        assert _hand_rule(x * y, p) >= 1, (p, f)
+        assert str(exc.value).endswith(
+            f"counterexample x = {x!r}, y = {y!r} has "
+            f"rule(x*y) != rule(x) + rule(y)")
+        if all(sum(c * r ** i for i, c in enumerate(f)) % p
+               for r in range(p)):
+            # a reducible quartic with no root, such as x^4 + 1 at p = 3:
+            # the pair is two monic quadratics
+            assert x.coeffs[2:] == y.coeffs[2:] == (1, 0), (p, f)
+
+
+def test_gate_counterexample_is_the_factor_pair():
+    # x^2 - 2 = x * x mod 2 gives (gamma, gamma); x^2 + 1 = (x + 3)(x + 2)
+    # mod 5, whose first root is 2
+    k = make_field([-2, 0, 1])
+    with pytest.raises(NotAValuationError) as exc:
+        extend(2, k)
+    assert exc.value.counterexample == (k.gamma(), k.gamma())
+    k = make_field([1, 0, 1])
+    with pytest.raises(NotAValuationError) as exc:
+        extend(5, k)
+    assert exc.value.counterexample == (k.element([3, 1]), k.element([2, 1]))
