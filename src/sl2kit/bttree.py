@@ -30,13 +30,13 @@ import itertools
 from fractions import Fraction
 
 from .errors import SingularError
-from .matrices import Matrix, mat
+from .matrices import Immutable, Matrix, mat
 from .numberfield import FieldElement, NumberField
 from .valuations import (INF, ExtendedValuation, PAdicValuation, _frac_val,
                          extend)
 
 
-class TreeContext:
+class TreeContext(Immutable):
     """A prime (or its certified unramified extension) plus scalar helpers."""
 
     __slots__ = ("valuation", "p", "field", "_reps", "_hash")
@@ -50,9 +50,6 @@ class TreeContext:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_reps", None)
         object.__setattr__(self, "_hash", hash((self.p, field.minpoly if field else None)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeContext is immutable")
 
     @property
     def residue_size(self) -> int:
@@ -118,7 +115,7 @@ def tree_context(p: int, field: NumberField | None = None) -> TreeContext:
     return TreeContext(extend(p, field))
 
 
-class TreeVertex:
+class TreeVertex(Immutable):
     """Canonical lattice class (n, b); build these via canonicalize()."""
 
     __slots__ = ("ctx", "n", "b", "_hash")
@@ -128,9 +125,6 @@ class TreeVertex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_hash", hash((ctx, n, b)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeVertex is immutable")
 
     def __eq__(self, other):
         if self is other:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError
-from .matrices import Matrix
+from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField
 
 _ROOT_TOL = 1e-12
@@ -58,7 +58,7 @@ def _horner(coeffs, z: complex) -> complex:
     return acc
 
 
-class ArchimedeanEmbedding:
+class ArchimedeanEmbedding(Immutable):
     """Ring map Q(gamma) -> C given by one chosen root of the minimal
     polynomial; with no field it is just Fraction -> float."""
 
@@ -83,9 +83,6 @@ class ArchimedeanEmbedding:
             raise ArithmeticError("root refinement failed its tolerance")
         object.__setattr__(self, "roots", tuple(refined))
         object.__setattr__(self, "root", root)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ArchimedeanEmbedding is immutable")
 
     def __call__(self, x) -> complex:
         if isinstance(x, FieldElement):
@@ -115,7 +112,7 @@ def embed_matrix(g: Matrix, emb: ArchimedeanEmbedding | None = None):
     return tuple(tuple(emb(x) for x in row) for row in g.rows)
 
 
-class HPoint:
+class HPoint(Immutable):
     """A point (z, t) of the upper half-space, t > 0."""
 
     __slots__ = ("z", "t")
@@ -129,9 +126,6 @@ class HPoint:
             raise DegenerateInputError("point coordinates must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPoint is immutable")
 
     def __repr__(self):
         return f"HPoint(z={self.z:.6g}, t={self.t:.6g})"

@@ -6,7 +6,10 @@ and 1: in practice ``fractions.Fraction`` or ``sl2kit.numberfield.FieldElement``
 rejected on construction; everything in this module is exact.
 
 Matrices are immutable and hashable, which is what the tree and word-ball
-code rely on for deduplication.
+code rely on for deduplication.  ``Immutable`` is the guard that every value
+type of the package (matrices, field elements, tree vertices, valuations, ...)
+inherits: constructors fill their slots with ``object.__setattr__`` and any
+later assignment or deletion raises ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -24,13 +27,25 @@ def _coerce_scalar(x):
     return x
 
 
+class Immutable:
+    """Base of the package's value types: slots cannot be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def mat(rows) -> "Matrix":
     """Build a Matrix from nested sequences, coercing ints to Fractions."""
     coerced = tuple(tuple(_coerce_scalar(x) for x in row) for row in rows)
     return Matrix(coerced)
 
 
-class Matrix:
+class Matrix(Immutable):
     __slots__ = ("rows", "_hash")
 
     def __init__(self, rows):
@@ -39,9 +54,6 @@ class Matrix:
             raise ValueError("square matrices of size 1..4 only")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def n(self) -> int:
@@ -127,23 +139,11 @@ class Matrix:
                 raise SingularError("matrix is singular")
             (a, b), (c, e) = self.rows
             return Matrix(((e / d, -b / d), (-c / d, a / d)))
-        return self._gauss_jordan_inverse()
-
-    def _gauss_jordan_inverse(self) -> "Matrix":
         n = self.n
         aug = [list(self.rows[i]) + [Fraction(1) if i == j else Fraction(0)
                                      for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise SingularError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        if len(_row_reduce(aug, n)) < n:
+            raise SingularError("matrix is singular")
         return Matrix(tuple(tuple(row[n:]) for row in aug))
 
     def charpoly(self) -> tuple:
@@ -188,20 +188,20 @@ class Matrix:
 # exact linear algebra helpers (generic over the scalar type)
 # ---------------------------------------------------------------------------
 
-def linear_solve(rows, rhs):
-    """Solve A*x = rhs exactly.
+def _row_reduce(aug, ncols):
+    """Gauss-Jordan elimination on the first ``ncols`` columns, in place.
 
-    ``rows`` is a list of equations (len m), each of length n; overdetermined
-    systems are fine.  Returns a length-n list, with free variables set to
-    zero, or None when the system is inconsistent.  Pivoting is deterministic:
-    first usable row, columns left to right.
+    ``aug`` is a list of row lists (extra columns ride along).  Pivoting is
+    deterministic: columns left to right, the first usable row, each pivot row
+    scaled to a leading one and cleared above and below.  Returns the pivot
+    columns; row i of the result holds the pivot of column ``pivots[i]``.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    m = len(aug)
     pivots = []
-    row = 0
-    for col in range(n):
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
         pr = next((r for r in range(row, m) if aug[r][col] != 0), None)
         if pr is None:
             continue
@@ -213,12 +213,23 @@ def linear_solve(rows, rhs):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    return pivots
+
+
+def linear_solve(rows, rhs):
+    """Solve A*x = rhs exactly.
+
+    ``rows`` is a list of equations (len m), each of length n; overdetermined
+    systems are fine.  Returns a length-n list, with free variables set to
+    zero, or None when the system is inconsistent.  Pivoting is deterministic:
+    first usable row, columns left to right.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    pivots = _row_reduce(aug, n)
+    if any(aug[r][n] != 0 for r in range(len(pivots), m)):
+        return None
     zero = rhs[0] - rhs[0] if m else 0
     sol = [zero for _ in range(n)]
     for r, col in enumerate(pivots):
@@ -229,23 +240,4 @@ def linear_solve(rows, rhs):
 def rank(rows) -> int:
     """Rank of a rectangular exact matrix, by Gaussian elimination."""
     work = [list(r) for r in rows]
-    m = len(work)
-    if m == 0:
-        return 0
-    n = len(work[0])
-    rk = 0
-    for col in range(n):
-        pr = next((r for r in range(rk, m) if work[r][col] != 0), None)
-        if pr is None:
-            continue
-        work[rk], work[pr] = work[pr], work[rk]
-        pv = work[rk][col]
-        work[rk] = [x / pv for x in work[rk]]
-        for r in range(m):
-            if r != rk and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    return len(_row_reduce(work, len(work[0]) if work else 0))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import NotMonicError, ReducibleError
-from .matrices import linear_solve
+from .matrices import Immutable, linear_solve
 
 MAX_DEGREE = 4
 
@@ -120,7 +120,7 @@ def _poly_str(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-class NumberField:
+class NumberField(Immutable):
     """Q(gamma) for gamma a root of a certified-irreducible monic polynomial.
 
     Use make_field() rather than the constructor; the constructor trusts its
@@ -144,9 +144,6 @@ class NumberField:
             shifted = (Fraction(0),) + cur[:m - 1]
             cur = tuple(s + top * r for s, r in zip(shifted, rel))
         object.__setattr__(self, "_powers", tuple(powers))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberField is immutable")
 
     @property
     def degree(self) -> int:
@@ -186,15 +183,12 @@ class NumberField:
         return f"NumberField({_poly_str(self.minpoly)})"
 
 
-class FieldElement:
+class FieldElement(Immutable):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: NumberField, coeffs):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     # -- coercion ---------------------------------------------------------
 

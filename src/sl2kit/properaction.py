@@ -50,7 +50,7 @@ from .bttree import act, base_vertex, distance, tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
 from .hyperbolic import ArchimedeanEmbedding, displacement_hyp
-from .matrices import Matrix, mat
+from .matrices import Immutable, Matrix, mat
 from .numberfield import FieldElement, NumberField
 from .valuations import _int_val, _prime_factors
 
@@ -58,7 +58,7 @@ DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "SL2KIT_ENUM_BUDGET"
 
 
-class Ring:
+class Ring(Immutable):
     """Z[1/s, gamma], described by s, its prime factors, and the field."""
 
     __slots__ = ("s", "primes", "field")
@@ -67,9 +67,6 @@ class Ring:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "primes", tuple(primes))
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ring is immutable")
 
     def __repr__(self):
         gen = ", gamma" if self.field is not None else ""
@@ -138,7 +135,7 @@ def make_group(generators, field: NumberField | None = None,
     return MarkedGroup(gens, ring_detect(gens, field), root_index)
 
 
-class DisplacementProfile:
+class DisplacementProfile(Immutable):
     """Per-prime tree displacements plus the hyperbolic displacement.
 
     A rational profile also keeps the exact (N, D^2) of its kernel tuple, so
@@ -151,9 +148,6 @@ class DisplacementProfile:
         object.__setattr__(self, "trees", tuple(trees))
         object.__setattr__(self, "hyp", float(hyp))
         object.__setattr__(self, "_exact", _exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DisplacementProfile is immutable")
 
     def less_than(self, bound: float) -> bool:
         if not all(t < bound for t in self.trees):
@@ -409,16 +403,13 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
 # exact enumeration
 # ---------------------------------------------------------------------------
 
-class EnumerationResult:
+class EnumerationResult(Immutable):
     __slots__ = ("elements", "C", "complete")
 
     def __init__(self, elements, C: float, complete: bool):
         object.__setattr__(self, "elements", frozenset(elements))
         object.__setattr__(self, "C", float(C))
         object.__setattr__(self, "complete", bool(complete))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EnumerationResult is immutable")
 
     def __repr__(self):
         return (f"EnumerationResult({len(self.elements)} elements, "
@@ -527,7 +518,7 @@ def enumerate_bounded(group: MarkedGroup, C: float,
 # cross-check
 # ---------------------------------------------------------------------------
 
-class PropernessReport:
+class PropernessReport(Immutable):
     __slots__ = ("contained", "word_count", "enum_count", "certificate",
                  "violations")
 
@@ -538,9 +529,6 @@ class PropernessReport:
         object.__setattr__(self, "enum_count", int(enum_count))
         object.__setattr__(self, "certificate", str(certificate))
         object.__setattr__(self, "violations", tuple(violations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PropernessReport is immutable")
 
     def __repr__(self):
         status = "ok" if self.contained else "VIOLATED"

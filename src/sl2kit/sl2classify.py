@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import (CommutativeError, DegenerateInputError, DetNotOneError,
                      GIsInHError, IndependenceFailureError,
                      NotASubalgebraError, SingularError)
-from .matrices import Matrix, linear_solve, mat
+from .matrices import Immutable, Matrix, linear_solve, mat
 
 
 def _require_traceless(m: Matrix, name: str):
@@ -57,7 +57,7 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
     return x * y - y * x
 
 
-class Subalgebra2:
+class Subalgebra2(Immutable):
     """Holder for a 2-dimensional candidate span; build via make_subalgebra,
     which performs the independence check."""
 
@@ -68,9 +68,6 @@ class Subalgebra2:
         _require_traceless(y2, "y2")
         object.__setattr__(self, "y1", y1)
         object.__setattr__(self, "y2", y2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subalgebra2 is immutable")
 
     def __repr__(self):
         return f"Subalgebra2({self.y1!r}, {self.y2!r})"
@@ -119,15 +116,12 @@ def normalize_basis(s: Subalgebra2):
     return x1, x2
 
 
-class ClassificationOutcome:
+class ClassificationOutcome(Immutable):
     __slots__ = ("conjugator", "kind")
 
     def __init__(self, conjugator: Matrix, kind: str):
         object.__setattr__(self, "conjugator", conjugator)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassificationOutcome is immutable")
 
     def __repr__(self):
         return f"ClassificationOutcome({self.kind}, Q={self.conjugator!r})"
@@ -194,7 +188,7 @@ def normalizes_unipotent(g: Matrix) -> bool:
     return g[1, 0] == 0
 
 
-class Factor:
+class Factor(Immutable):
     """One factor of a maximality word: an upper-triangular element
     (tag "h"), the outside element g, or its inverse."""
 
@@ -205,9 +199,6 @@ class Factor:
             raise ValueError("tag must be 'h', 'g' or 'g_inv'")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Factor is immutable")
 
     def __repr__(self):
         return f"Factor({self.tag}, {self.matrix!r})"

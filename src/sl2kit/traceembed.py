@@ -19,7 +19,7 @@ is_algebraic_integer and reported, never assumed.
 from __future__ import annotations
 
 from .errors import DetNotOneError, RankDeficientError
-from .matrices import Matrix, rank
+from .matrices import Immutable, Matrix, rank
 from .numberfield import is_algebraic_integer
 
 
@@ -32,7 +32,7 @@ def integral_characteristic(g: Matrix) -> bool:
     return is_algebraic_integer(g.trace())
 
 
-class TraceBasis:
+class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
     2x2 matrix space, together with their Gram matrix."""
 
@@ -47,9 +47,6 @@ class TraceBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_gram_inv", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TraceBasis is immutable")
 
     def gram_inverse(self) -> Matrix:
         inv = self._gram_inv

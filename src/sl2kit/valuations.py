@@ -22,24 +22,63 @@ import math
 from fractions import Fraction
 
 from .errors import NotAValuationError
+from .matrices import Immutable
 from .numberfield import FieldElement, NumberField
 
 INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# trial division and p-adic valuations of integers and fractions
+# primality, factorisation and p-adic valuations of integers and fractions
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; False for n < 2 and for n >= _MR_BOUND,
+    where these bases no longer certify primality."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # no factor up to 41 and below 43^2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int):
-    """The distinct prime factors of n, ascending; () for n < 2."""
+    """The distinct prime factors of n, ascending; () for n < 2.
+
+    Trial division stops as soon as the cofactor left is a certified prime,
+    so n = (small factors) * (one large prime) costs no O(sqrt n) loop."""
     out = []
     d = 2
-    while d * d <= n:
+    done = _is_prime(n)
+    while not done and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = _is_prime(n)
         d += 1
     if n > 1:
         out.append(n)
@@ -70,18 +109,18 @@ def _frac_val(x: Fraction, p: int) -> int:
     return v
 
 
-class PAdicValuation:
-    """The valuation nu_p on Q; call it on an int or Fraction."""
+class PAdicValuation(Immutable):
+    """The valuation nu_p on Q; call it on an int or Fraction.
+
+    p must be a prime below _MR_BOUND (about 3.3e24), the range in which
+    _is_prime decides primality exactly."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or _prime_factors(p) != (p,):
+        if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"p must be a prime number, got {p!r}")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PAdicValuation is immutable")
 
     @property
     def uniformizer(self) -> int:
@@ -161,7 +200,7 @@ def extend(p: int, field: NumberField) -> "ExtendedValuation":
     return ExtendedValuation(base, field)
 
 
-class ExtendedValuation:
+class ExtendedValuation(Immutable):
     """Certified unramified extension of nu_p to Q(gamma).
 
     Instances come from extend(); the constructor does not re-run the gate.
@@ -174,9 +213,6 @@ class ExtendedValuation:
     def __init__(self, base: PAdicValuation, field: NumberField):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedValuation is immutable")
 
     @property
     def p(self) -> int:

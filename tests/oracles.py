@@ -177,3 +177,59 @@ def reducible_mod_p(f, p):
                 if [c % p for c in gh] == target:
                     return True
     return False
+
+
+def det_leibniz(a):
+    """Determinant of a square list of rows by the permutation expansion
+    (1 for the empty matrix)."""
+    from itertools import permutations
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def rank_by_minors(a):
+    """The largest k for which a (m x n, rows as lists) has a nonzero k x k
+    minor; 0 when every entry is zero."""
+    from itertools import combinations
+    m, n = len(a), len(a[0]) if a else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                if det_leibniz([[a[i][j] for j in cols] for i in rows]) != 0:
+                    return k
+    return 0
+
+
+def pivot_columns(a):
+    """Columns j whose addition raises the rank of the columns before them:
+    the pivot columns of the reduced row echelon form."""
+    cols, before = [], 0
+    for j in range(len(a[0])):
+        now = rank_by_minors([row[:j + 1] for row in a])
+        if now > before:
+            cols.append(j)
+        before = now
+    return cols
+
+
+def inverse_by_adjugate(a):
+    """adj(A) / det(A) as a list of rows, or None when det(A) = 0."""
+    n = len(a)
+    d = det_leibniz(a)
+    if d == 0:
+        return None
+
+    def cofactor(i, j):
+        minor = [[a[r][c] for c in range(n) if c != j]
+                 for r in range(n) if r != i]
+        return (-1) ** (i + j) * det_leibniz(minor)
+
+    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]

@@ -65,6 +65,19 @@ def test_valuate_rejects_composite_prime(capsys):
     assert doc["result"]["message"] == "p must be a prime number, got 4"
 
 
+def test_large_prime_repros_print_one_envelope(capsys):
+    # both used to trial-divide up to sqrt(p), about 1e9 steps
+    p = 1000000000000000003
+    rc, out = run(["valuate", "--p", str(p), "--x", "1"], capsys)
+    assert rc == 0 and out.count("\n") == 1
+    assert json.loads(out)["result"]["value"] == 0
+    rc, out = run(["displacement", "--g",
+                   f'[["1/{p}","0"],["0","{p}"]]'], capsys)
+    assert rc == 0 and out.count("\n") == 1
+    doc = json.loads(out)["result"]
+    assert doc["primes"] == [p] and doc["trees"] == [2]
+
+
 def test_tree_dist_golden(capsys):
     expect = '{"diagnostics": [], "result": {"distance": 2}, "status": "ok"}\n'
     rc, out = run(["tree-dist", "--p", "2", "--g",

@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl2kit import Matrix, SingularError, linear_solve, mat, rank
+from oracles import inverse_by_adjugate, pivot_columns, rank_by_minors
+from sl2kit import (ArchimedeanEmbedding, Factor, HPoint, Matrix,
+                    PropernessReport, SingularError, base_vertex,
+                    classify_2dim, displacement, enumerate_bounded, extend,
+                    linear_solve, make_field, make_group, make_subalgebra,
+                    mat, rank, select_basis, tree_context, word_ball)
 
 
 def test_mat_coerces_ints():
@@ -128,10 +135,41 @@ def test_hash_dedup():
     assert len({a, b, a * b}) == 2
 
 
+def _one_value_of_each_type():
+    s, t = mat([[0, -1], [1, 0]]), mat([[1, 1], [0, 1]])
+    field = make_field([1, 0, 1])
+    group = make_group([s, t])
+    e, h = mat([[0, 1], [0, 0]]), mat([[1, 0], [0, -1]])
+    sub = make_subalgebra(e, h)
+    ctx = tree_context(3)
+    ext = extend(3, field)
+    return [t, field, field.gamma(), ext.base, ext, ctx, base_vertex(ctx),
+            ArchimedeanEmbedding(), HPoint(0, 1), group.ring,
+            displacement(t, group), enumerate_bounded(group, 1.0),
+            PropernessReport(True, 1, 1, "finite", ()), sub,
+            classify_2dim(sub), Factor("h", t),
+            select_basis(word_ball([s, t], 3))]
+
+
 def test_immutable():
+    values = _one_value_of_each_type()
+    assert len({type(v).__name__ for v in values}) == 17
+    for v in values:
+        name = type(v).__slots__[0]
+        before = getattr(v, name)
+        message = f"{type(v).__name__} is immutable"
+        with pytest.raises(AttributeError) as exc:
+            setattr(v, name, None)
+        assert str(exc.value) == message
+        with pytest.raises(AttributeError) as exc:
+            delattr(v, name)
+        assert str(exc.value) == message
+        assert getattr(v, name) is before
     m = mat([[1, 0], [0, 1]])
+    held = {m}
     with pytest.raises(AttributeError):
-        m.rows = ()
+        del m.rows
+    assert m in held and m.rows == ((1, 0), (0, 1))
 
 
 def test_linear_solve_unique():
@@ -162,3 +200,60 @@ def test_rank():
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
     assert rank([]) == 0
+
+
+ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def exact_rows(draw, m, n):
+    """An m x n list of Fraction rows; half the time the last row is a
+    combination of the others, so singular matrices come up often."""
+    a = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        c = [draw(ENTRIES) for _ in range(m - 1)]
+        a[-1] = [sum((c[i] * a[i][j] for i in range(m - 1)), Fraction(0))
+                 for j in range(n)]
+    return a
+
+
+@st.composite
+def exact_systems(draw):
+    """(A, b) with A of size m x n, 1 <= m, n <= 4; b is A times a random
+    vector half the time, so overdetermined systems can be consistent."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = draw(exact_rows(m, n))
+    if draw(st.booleans()):
+        x = [draw(ENTRIES) for _ in range(n)]
+        b = [sum((r[j] * x[j] for j in range(n)), Fraction(0)) for r in a]
+    else:
+        b = [draw(ENTRIES) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_systems())
+def test_row_reduction_matches_minor_oracles(system):
+    a, b = system
+    n = len(a[0])
+    rk = rank_by_minors(a)
+    assert rank(a) == rk
+    sol = linear_solve(a, b)
+    if rk < rank_by_minors([row + [bi] for row, bi in zip(a, b)]):
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == n
+    assert [sum(r[j] * sol[j] for j in range(n)) for r in a] == b
+    free = set(range(n)) - set(pivot_columns(a))
+    assert all(sol[j] == 0 for j in free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: exact_rows(n, n)))
+def test_inverse_matches_adjugate(a):
+    expected = inverse_by_adjugate(a)
+    if expected is None:
+        with pytest.raises(SingularError):
+            mat(a).inverse()
+    else:
+        assert mat(a).inverse() == mat(expected)

@@ -8,6 +8,7 @@ import pytest
 from oracles import random_nonzero_rational, reducible_mod_p
 from sl2kit import (INF, NotAValuationError, PAdicValuation, extend,
                     make_field)
+from sl2kit.valuations import _is_prime, _prime_factors
 
 
 def test_padic_examples():
@@ -19,9 +20,47 @@ def test_padic_examples():
 
 
 def test_padic_rejects_nonprime():
-    for bad in (1, 4, 6, -3, 0, True, 2.0):
+    # the last two: the least strong pseudoprime to every base 2..41, where
+    # Miller-Rabin with those bases stops being exact, and the prime 2^89 - 1
+    # beyond that bound
+    for bad in (1, 4, 6, -3, 0, True, 2.0, 3317044064679887385961981,
+                2 ** 89 - 1):
         with pytest.raises(ValueError):
             PAdicValuation(bad)
+    assert PAdicValuation(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def _sieve(limit):
+    prime = [False, False] + [True] * (limit - 2)
+    for d in range(2, int(limit ** 0.5) + 1):
+        if prime[d]:
+            prime[d * d::d] = [False] * len(prime[d * d::d])
+    return prime
+
+
+def test_is_prime_matches_sieve():
+    prime = _sieve(10 ** 5)
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if prime[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, then the least strong pseudoprimes to the bases
+    # 2; 2..7; 2..23; 2..37 (only base 41 catches the last one)
+    for n in (561, 2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(10 ** 14 + 31) and _is_prime(1000000000000000003)
+
+
+def test_prime_factors_ascending_and_exact():
+    prime = _sieve(2000)
+    for n in range(-2, 2000):
+        assert _prime_factors(n) == tuple(
+            q for q in range(2, max(n, 0) + 1) if prime[q] and n % q == 0)
+    big = 10 ** 14 + 31
+    assert _prime_factors(big) == (big,)
+    assert _prime_factors(12 * big) == (2, 3, big)
 
 
 def test_padic_rejects_floats():
