@@ -17,6 +17,11 @@ Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
 polish, deterministic descending (Re, Im) ordering, |minpoly(root)| < 1e-12
 enforced).
+
+For a rational g = [[a, b], [c, d]] / D the same displacement is
+arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2, and _HypBound decides
+hyp < C on the ints exactly, as N < 2 cosh(C) D^2 (used by the integer
+kernel of properaction).
 """
 
 from __future__ import annotations
@@ -179,3 +184,99 @@ def displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None = None) -> floa
         raise ValueError("matrix must have determinant 1 (within 1e-9)")
     s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
     return math.acosh(max(1.0, s / 2.0))
+
+
+def _hyp_value(N: int, D2: int) -> float:
+    """arccosh(N / (2 D^2)), the hyperbolic displacement of the basepoint,
+    from the ints and without leaving float range.
+
+    With ad - bc = D^2, N - 2 D^2 = (a - d)^2 + (b + c)^2 exactly, so
+    u = N / (2 D^2) - 1 is computed from ints and arccosh(1 + u) is
+    log1p(u + sqrt(u (u + 2))); past 1e150 it is log(2u) to double precision.
+    """
+    E = N - 2 * D2
+    try:
+        u = E / (2 * D2)
+    except OverflowError:
+        u = math.inf
+    if u < 1e150:
+        return math.log1p(u + math.sqrt(u * (u + 2.0)))
+    return math.log(E) - math.log(D2)
+
+
+_SLACK = 1 << 40  # relative slack 2^-40 on the float value of 2 cosh C
+
+
+class _HypBound:
+    """The strict predicate hyp < C on kernel elements, decided exactly.
+
+    For determinant 1, hyp < C iff N < 2 cosh(C) D^2.  Per D^2, the float
+    value of 2 cosh C widened by 2^-40 gives integer cut points lo <= hi:
+    N < lo is below the bound and N >= hi is not.  An N in between, or any N
+    when 2 cosh C overflows a float, goes to decide().
+    """
+
+    def __init__(self, C: float):
+        self.C = C
+        self._cuts = {}
+
+    def cut(self, D2: int):
+        cut = self._cuts.get(D2)
+        if cut is None:
+            cut = self._cuts[D2] = self._float_cut(D2)
+        return cut
+
+    def _float_cut(self, D2: int):
+        C = self.C
+        if not C > 0:
+            return 0, 0  # hyp >= 0: nothing is below
+        if C == math.inf:
+            return math.inf, math.inf
+        try:
+            num, den = (2.0 * math.cosh(C)).as_integer_ratio()
+        except OverflowError:
+            return 0, math.inf
+        num *= D2
+        den *= _SLACK
+        return -(-num * (_SLACK - 1) // den), num * (_SLACK + 1) // den + 1
+
+    def below(self, N: int, D2: int) -> bool:
+        lo, hi = self.cut(D2)
+        if N < lo:
+            return True
+        if N >= hi:
+            return False
+        return self.decide(N, D2)
+
+    def decide(self, N: int, D2: int) -> bool:
+        """N < 2 cosh(C) D^2 by decimal arithmetic at rising precision.
+
+        2 cosh C is transcendental for rational C > 0, so N never ties with
+        the bound and the loop ends."""
+        if N.bit_length() <= self.C:  # N < 2^C < 2 cosh(C) D^2
+            return True
+        prec = 40
+        while True:
+            lo, hi = _decimal_cut(self.C, D2, prec)
+            if N < lo:
+                return True
+            if N >= hi:
+                return False
+            prec *= 2
+
+
+def _decimal_cut(C: float, D2: int, prec: int):
+    """Integer cut points around 2 cosh(C) D^2 at prec decimal digits.
+
+    exp is correctly rounded, so the computed value t is within a relative
+    10^(2 - prec) of the true one; the slack 10^(4 - prec) covers that and
+    the rounding of t -/+ slack."""
+    import decimal
+    ctx = decimal.Context(prec=prec, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    x = decimal.Decimal(C)  # the exact binary value of C
+    t = ctx.multiply(ctx.add(ctx.exp(x), ctx.exp(x.copy_negate())), D2)
+    slack = t.scaleb(4 - prec, ctx)
+    lo = ctx.subtract(t, slack).to_integral_value(decimal.ROUND_CEILING)
+    hi = ctx.add(t, slack).to_integral_value(decimal.ROUND_FLOOR)
+    return int(lo), int(hi) + 1

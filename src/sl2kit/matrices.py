@@ -27,6 +27,16 @@ def _coerce_scalar(x):
     return x
 
 
+def _dot(r, c):
+    """sum(r[k] * c[k]) from the first term on: an int 0 start would be
+    lifted into the field on every FieldElement product.  The type is the
+    same either way, since 0 + t has the type of t."""
+    acc = r[0] * c[0]
+    for k in range(1, len(r)):
+        acc = acc + r[k] * c[k]
+    return acc
+
+
 class Immutable:
     """Base of the package's value types: slots cannot be set or deleted."""
 
@@ -74,11 +84,9 @@ class Matrix(Immutable):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("size mismatch")
-        a, b = self.rows, other.rows
-        n = self.n
-        return Matrix(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        cols = tuple(zip(*other.rows))
+        return Matrix(tuple(tuple(_dot(r, c) for c in cols)
+                            for r in self.rows))
 
     def __rmul__(self, scalar):
         if isinstance(scalar, Matrix):

@@ -8,19 +8,22 @@ element is one tree distance per prime (base vertex to its image) together
 with the hyperbolic displacement at the archimedean place; the properness
 predicate is strict: every coordinate < C.
 
-Rational groups (no field) run on a private integer kernel.  An element is
-a tuple (a, b, c, d, D) of ints, the matrix [[a, b], [c, d]] / D, with D > 0
-and gcd(a, b, c, d, D) = 1.  With determinant 1 that normalisation gives the
-tree displacement at p in closed form, 2 v_p(D) (Serre, Trees, II.1), and
-the hyperbolic one as arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2.
-The predicate hyp < C is N < 2 cosh(C) D^2, decided exactly: integer cut
-points from a float enclosure of 2 cosh C settle almost every N, and the few
-within a relative 2^-40 of the bound are settled by decimal arithmetic at
-rising precision (2 cosh C is transcendental for rational C > 0, so there
-are no ties).  Products multiply the ints and divide out the gcd, so word
-balls are deduplicated on the normalised tuple, and a Matrix is built only
-for an element that is returned.  Groups over a number field go through
-act/canonicalize/distance and displacement_hyp instead.
+Both cases run on a private integer kernel.  Over Q(gamma) of degree m an
+element is the tuple (a_0, b_0, c_0, d_0, a_1, ..., d_(m-1), D), the matrix
+sum_r [[a_r, b_r], [c_r, d_r]] gamma^r / D with D > 0 and gcd 1 over all
+its ints; m = 1 is the rational (a, b, c, d, D).  The minimal polynomial is
+monic and integral, so a product is an integer bilinear form (_mul_table)
+and a gcd, and word balls are deduplicated on the normalised tuple.  For
+determinant 1 the tree displacement at p is 2 v_p(D) (Serre, Trees, II.1),
+read off the ints with no tree action.  A rational element's hyperbolic
+displacement is arccosh(N / (2 D^2)), N = a^2 + b^2 + c^2 + d^2, and
+hyperbolic._HypBound decides hyp < C as N < 2 cosh(C) D^2 exactly (float
+cut points, then decimal arithmetic at rising precision; 2 cosh C is
+transcendental for rational C > 0, so there are no ties).  Over a field,
+displacement_hyp of the Matrix decides it in floats.  A Matrix is built only
+for an element that is returned or needs displacement_hyp; a 4-bit mask
+beside each field tuple (bit 2i + j for entry (i, j)) records which entries
+are FieldElements, so it gets the entry types a Matrix product would.
 
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
@@ -45,11 +48,13 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from itertools import product
 
-from .bttree import act, base_vertex, distance, tree_context
+from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
-from .hyperbolic import ArchimedeanEmbedding, displacement_hyp
+from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_value,
+                         displacement_hyp)
 from .matrices import Immutable, Matrix, mat
 from .numberfield import FieldElement, NumberField
 from .valuations import _int_val, _prime_factors
@@ -73,26 +78,21 @@ class Ring(Immutable):
         return f"Ring(Z[1/{self.s}{gen}], primes={list(self.primes)})"
 
 
-def _entry_denominator(x) -> int:
-    if isinstance(x, FieldElement):
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den
-    return x.denominator
+def _denominator(g: Matrix) -> int:
+    """The lcm of the denominators of every (power-basis) coefficient."""
+    return math.lcm(*(c.denominator for row in g.rows for x in row for c in
+                      (x.coeffs if isinstance(x, FieldElement) else (x,))))
 
 
 def ring_detect(generators, field: NumberField | None = None) -> Ring:
     """Smallest Z[1/s, gamma] containing every generator entry."""
     s = 1
     for g in generators:
-        for row in g.rows:
-            for x in row:
-                if isinstance(x, FieldElement) and field is None:
-                    raise EntryOutsideRingError(
-                        "field elements present but no field was declared")
-                d = _entry_denominator(x)
-                s = s * d // math.gcd(s, d)
+        if field is None and any(isinstance(x, FieldElement)
+                                 for row in g.rows for x in row):
+            raise EntryOutsideRingError(
+                "field elements present but no field was declared")
+        s = math.lcm(s, _denominator(g))
     return Ring(s, _prime_factors(s), field)
 
 
@@ -160,35 +160,38 @@ class DisplacementProfile(Immutable):
         return f"DisplacementProfile(trees={list(self.trees)}, hyp={self.hyp:.6g})"
 
 
-def _check_entries_in_ring(g: Matrix, ring: Ring):
+def _check_entries_in_ring(g: Matrix, ring: Ring) -> int:
+    """The denominator of g, once g is known to lie in the ring."""
     for row in g.rows:
         for x in row:
-            if isinstance(x, FieldElement):
-                if ring.field is None or x.field != ring.field:
-                    raise EntryOutsideRingError(
-                        f"entry {x!r} is not in the declared field")
-            d = _entry_denominator(x)
-            for p in ring.primes:
-                while d % p == 0:
-                    d //= p
-            if d != 1:
+            if isinstance(x, FieldElement) and x.field != ring.field:
                 raise EntryOutsideRingError(
-                    f"entry denominator has a prime factor outside "
-                    f"{{{', '.join(map(str, ring.primes))}}}" if ring.primes
-                    else "entries must be integral (s = 1)")
+                    f"entry {x!r} is not in the declared field")
+    D = _denominator(g)
+    _check_denominator(D, ring)
+    return D
+
+
+def _check_denominator(d: int, ring: Ring):
+    for p in ring.primes:
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        raise EntryOutsideRingError(
+            f"entry denominator has a prime factor outside "
+            f"{{{', '.join(map(str, ring.primes))}}}" if ring.primes
+            else "entries must be integral (s = 1)")
 
 
 def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
     """Profile of g acting on the product of the trees and the half-space."""
     if g.det() != 1:
         raise DetNotOneError("displacement requires determinant 1")
-    _check_entries_in_ring(g, group.ring)
+    D = _check_entries_in_ring(g, group.ring)
     if group.ring.field is not None:
-        trees = []
-        for ctx in group.tree_contexts:
-            v0 = base_vertex(ctx)
-            trees.append(distance(v0, act(g, v0)))
-        return DisplacementProfile(trees, displacement_hyp(g, group.embedding))
+        group.tree_contexts  # the valuation gate refuses a non-inert prime
+        return DisplacementProfile(_tree_moves(D, group.ring.primes),
+                                   displacement_hyp(g, group.embedding))
     a, b, c, d, D = _kernel(g)
     N, D2 = a * a + b * b + c * c + d * d, D * D
     return DisplacementProfile(_tree_moves(D, group.ring.primes),
@@ -196,22 +199,12 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
 
 
 # ---------------------------------------------------------------------------
-# integer kernel (rational case)
+# integer kernel
 # ---------------------------------------------------------------------------
-# A rational 2x2 matrix is held as a tuple (a, b, c, d, D): the matrix
-# [[a, b], [c, d]] / D with D > 0 and gcd(a, b, c, d, D) = 1, which makes the
-# tuple unique.  For determinant 1, ad - bc = D^2, so every entry is integral
-# at p exactly when p does not divide D.
 
 def _kernel(g: Matrix):
-    """g as (a, b, c, d, D); D is the lcm of the entry denominators, which
-    leaves gcd(a, b, c, d, D) = 1."""
-    (w, x), (y, z) = g.rows
-    D = math.lcm(w.denominator, x.denominator, y.denominator, z.denominator)
-    return (w.numerator * (D // w.denominator),
-            x.numerator * (D // x.denominator),
-            y.numerator * (D // y.denominator),
-            z.numerator * (D // z.denominator), D)
+    """Rational g as (a, b, c, d, D)."""
+    return _field_kernel(g, 1)[0]
 
 
 def _matrix(k) -> Matrix:
@@ -223,106 +216,11 @@ def _matrix(k) -> Matrix:
 def _tree_moves(D: int, primes):
     """Tree displacement of the base vertex at each prime, 2 v_p(D).
 
-    Serre's formula d(v0, g v0) = v_p(det g) - 2 min_ij v_p(g_ij) with
-    det g = 1: some a_ij is a p-unit when p | D (the gcd is 1), and an
-    integral g has an entry prime to p (else p^2 would divide det g)."""
+    Serre: d(v0, g v0) = -2 min_ij w(g_ij) for det g = 1, w the
+    coefficientwise minimum of v_p.  If p | D, some numerator is a p-unit
+    (the gcd is 1), so min w = -v_p(D); else g is integral at p and
+    0 = w(det g) >= 2 min w, as w(xy) >= w(x) + w(y)."""
     return tuple(2 * _int_val(D, p) for p in primes)
-
-
-def _hyp_value(N: int, D2: int) -> float:
-    """arccosh(N / (2 D^2)), the hyperbolic displacement of the basepoint,
-    from the ints and without leaving float range.
-
-    With ad - bc = D^2, N - 2 D^2 = (a - d)^2 + (b + c)^2 exactly, so
-    u = N / (2 D^2) - 1 is computed from ints and arccosh(1 + u) is
-    log1p(u + sqrt(u (u + 2))); past 1e150 it is log(2u) to double precision.
-    """
-    E = N - 2 * D2
-    try:
-        u = E / (2 * D2)
-    except OverflowError:
-        u = math.inf
-    if u < 1e150:
-        return math.log1p(u + math.sqrt(u * (u + 2.0)))
-    return math.log(E) - math.log(D2)
-
-
-_SLACK = 1 << 40  # relative slack 2^-40 on the float value of 2 cosh C
-
-
-class _HypBound:
-    """The strict predicate hyp < C on kernel elements, decided exactly.
-
-    For determinant 1, hyp < C iff N < 2 cosh(C) D^2.  Per D^2, the float
-    value of 2 cosh C widened by 2^-40 gives integer cut points lo <= hi:
-    N < lo is below the bound and N >= hi is not.  An N in between, or any N
-    when 2 cosh C overflows a float, goes to decide().
-    """
-
-    def __init__(self, C: float):
-        self.C = C
-        self._cuts = {}
-
-    def cut(self, D2: int):
-        cut = self._cuts.get(D2)
-        if cut is None:
-            cut = self._cuts[D2] = self._float_cut(D2)
-        return cut
-
-    def _float_cut(self, D2: int):
-        C = self.C
-        if not C > 0:
-            return 0, 0  # hyp >= 0: nothing is below
-        if C == math.inf:
-            return math.inf, math.inf
-        try:
-            num, den = (2.0 * math.cosh(C)).as_integer_ratio()
-        except OverflowError:
-            return 0, math.inf
-        num *= D2
-        den *= _SLACK
-        return -(-num * (_SLACK - 1) // den), num * (_SLACK + 1) // den + 1
-
-    def below(self, N: int, D2: int) -> bool:
-        lo, hi = self.cut(D2)
-        if N < lo:
-            return True
-        if N >= hi:
-            return False
-        return self.decide(N, D2)
-
-    def decide(self, N: int, D2: int) -> bool:
-        """N < 2 cosh(C) D^2 by decimal arithmetic at rising precision.
-
-        2 cosh C is transcendental for rational C > 0, so N never ties with
-        the bound and the loop ends."""
-        if N.bit_length() <= self.C:  # N < 2^C < 2 cosh(C) D^2
-            return True
-        prec = 40
-        while True:
-            lo, hi = _decimal_cut(self.C, D2, prec)
-            if N < lo:
-                return True
-            if N >= hi:
-                return False
-            prec *= 2
-
-
-def _decimal_cut(C: float, D2: int, prec: int):
-    """Integer cut points around 2 cosh(C) D^2 at prec decimal digits.
-
-    exp is correctly rounded, so the computed value t is within a relative
-    10^(2 - prec) of the true one; the slack 10^(4 - prec) covers that and
-    the rounding of t -/+ slack."""
-    import decimal
-    ctx = decimal.Context(prec=prec, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN)
-    x = decimal.Decimal(C)  # the exact binary value of C
-    t = ctx.multiply(ctx.add(ctx.exp(x), ctx.exp(x.copy_negate())), D2)
-    slack = t.scaleb(4 - prec, ctx)
-    lo = ctx.subtract(t, slack).to_integral_value(decimal.ROUND_CEILING)
-    hi = ctx.add(t, slack).to_integral_value(decimal.ROUND_FLOOR)
-    return int(lo), int(hi) + 1
 
 
 def _kernel_mul(x, y):
@@ -336,6 +234,79 @@ def _kernel_mul(x, y):
         if k != 1:
             return p11 // k, p12 // k, p21 // k, p22 // k, den // k
     return p11, p12, p21, p22, den
+
+
+def _field_kernel(g: Matrix, m: int):
+    """(tuple, mask) of g over a field of degree m; D = _denominator(g)
+    leaves the gcd 1."""
+    D, coeffs, mask = _denominator(g), [], 0
+    for e, x in enumerate(x for row in g.rows for x in row):
+        if isinstance(x, FieldElement):
+            mask |= 1 << e
+            coeffs.append(x.coeffs)
+        else:
+            coeffs.append((x,) + (0,) * (m - 1))
+    return tuple([cs[r].numerator * (D // cs[r].denominator)
+                  for r in range(m) for cs in coeffs] + [D]), mask
+
+
+def _field_matrix(k, mask: int, field: NumberField) -> Matrix:
+    D = k[-1]
+    e = [FieldElement(field, tuple([Fraction(c, D) for c in k[i:-1:4]]))
+         if mask >> i & 1 else Fraction(k[i], D) for i in range(4)]
+    return Matrix(((e[0], e[1]), (e[2], e[3])))
+
+
+def _mul_table(field: NumberField):
+    """Numerator 4r + 2i + j of a product x y (the gamma^r coefficient of
+    entry (i, j)) is the sum of w * x[p] * y[q] over its (w, p, q)."""
+    m = field.degree
+    table = [[] for _ in range(4 * m)]
+    for s, t, i, j, k in product(range(m), range(m), *[(0, 1)] * 3):
+        for r, w in enumerate(field._powers[s + t]):
+            if w:
+                table[4 * r + 2 * i + j].append(
+                    (int(w), 4 * s + 2 * i + k, 4 * t + 2 * k + j))
+    return table
+
+
+def _field_mul(x, y, table):
+    """Product of two field-kernel tuples, normalised.
+
+    Tuples here are built from lists: tuple(genexpr) shrinks an
+    over-allocated tuple, and the shrunk ones pile up in CPython's
+    per-size free lists (about 0.5 MiB after a few Q(i) word_bfs calls)."""
+    out = [sum(w * x[p] * y[q] for w, p, q in terms) for terms in table]
+    out.append(x[-1] * y[-1])
+    k = math.gcd(*out)
+    return tuple([v // k for v in out] if k != 1 else out)
+
+
+def _adjugate(k):
+    """[[d, -b], [-c, a]] of a field-kernel tuple: k times it is det k."""
+    return tuple([v for r in range(0, len(k) - 1, 4)
+                  for v in (k[r + 3], -k[r + 1], -k[r + 2], k[r])] + [k[-1]])
+
+
+def _field_ball(steps, field: NumberField, max_len: int):
+    """The word ball over the field as tuples in BFS discovery order, and
+    the mask of each at its first discovery."""
+    table = _mul_table(field)
+    ident, _ = _field_kernel(Matrix.identity(2), field.degree)
+    masks = {ident: 0}
+
+    def mul(x, step):
+        k, smask = step
+        prod = _field_mul(x, k, table)
+        if prod not in masks:
+            # entry (i, j) of x s is a FieldElement when row i of x or
+            # column j of s holds one (a product or sum with one is one)
+            r, c = masks[x], (smask | smask >> 2) & 3
+            masks[prod] = (r & 3 and 3) | (r & 12 and 12) | c | c << 2
+        return prod
+
+    return _ball(ident, [_field_kernel(s, field.degree) for s in steps],
+                 mul, max_len), masks
 
 
 # ---------------------------------------------------------------------------
@@ -365,31 +336,62 @@ def _steps(generators):
     return list(generators) + [g.inverse() for g in generators]
 
 
+def _steps_field(steps):
+    """The field of the FieldElement entries of steps, None if none."""
+    fields = {x.field for s in steps for row in s.rows for x in row
+              if isinstance(x, FieldElement)}
+    if len(fields) > 1:
+        raise TypeError("generators over different number fields")
+    return fields.pop() if fields else None
+
+
 def word_ball(generators, max_len: int):
     """Distinct products of at most max_len generators/inverses, in BFS
-    discovery order (deterministic for a fixed generator order).  Rational
-    2x2 generators are multiplied as kernel tuples."""
+    discovery order (deterministic for a fixed generator order), multiplied
+    as kernel tuples.  An entry is a FieldElement exactly where the Matrix
+    product would make one."""
     steps = _steps(generators)
-    if all(g.n == 2 and not any(isinstance(x, FieldElement)
-                                for row in g.rows for x in row)
-           for g in steps):
+    field = _steps_field(steps)
+    if field is None:
         ball = _ball((1, 0, 0, 1, 1), [_kernel(s) for s in steps],
                      _kernel_mul, max_len)
         return [_matrix(k) for k in ball]
-    return _ball(Matrix.identity(2), steps, Matrix.__mul__, max_len)
+    ball, masks = _field_ball(steps, field, max_len)
+    return [_field_matrix(k, masks[k], field) for k in ball]
 
 
 def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
-    """Ball elements whose displacement profile is < C in every coordinate."""
-    if group.ring.field is not None:
-        return {g for g in word_ball(group.generators, max_len)
-                if displacement(g, group).less_than(C)}
-    steps = [_kernel(s) for s in _steps(group.generators)]
-    bound = _HypBound(C)
+    """Ball elements whose displacement profile is < C in every coordinate.
+    Over a field each element gets displacement()'s checks, on the ints."""
+    steps = _steps(group.generators)
     primes = group.ring.primes
     tree_ok = {}
     found = set()
-    for k in _ball((1, 0, 0, 1, 1), steps, _kernel_mul, max_len):
+    field = group.ring.field
+    if field is not None:
+        if _steps_field(steps) not in (None, field):
+            raise EntryOutsideRingError(
+                "generator entries are not in the declared field")
+        group.tree_contexts  # the valuation gate refuses a non-inert prime
+        emb = group.embedding
+        table = _mul_table(field)
+        ball, masks = _field_ball(steps, field, max_len)
+        for k in ball:  # ball[0] is the identity
+            if _field_mul(k, _adjugate(k), table) != ball[0]:
+                raise DetNotOneError("displacement requires determinant 1")
+            D = k[-1]
+            ok = tree_ok.get(D)
+            if ok is None:
+                _check_denominator(D, group.ring)
+                ok = tree_ok[D] = all(t < C for t in _tree_moves(D, primes))
+            if ok:
+                g = _field_matrix(k, masks[k], field)
+                if displacement_hyp(g, emb) < C:
+                    found.add(g)
+        return found
+    bound = _HypBound(C)
+    for k in _ball((1, 0, 0, 1, 1), [_kernel(s) for s in steps], _kernel_mul,
+                   max_len):
         a, b, c, d, D = k
         ok = tree_ok.get(D)
         if ok is None:

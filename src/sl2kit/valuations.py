@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotAValuationError
+from .errors import NotAValuationError, UnsupportedError
 from .matrices import Immutable
 from .numberfield import FieldElement, NumberField
 
@@ -65,24 +65,74 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_BOUND = 1000    # trial division by 2 .. 999
+_RHO_STEPS = 1 << 22   # Pollard-Brent iterations allowed per cofactor
+
+
 def _prime_factors(n: int):
     """The distinct prime factors of n, ascending; () for n < 2.
 
-    Trial division stops as soon as the cofactor left is a certified prime,
-    so n = (small factors) * (one large prime) costs no O(sqrt n) loop."""
+    Trial division below _TRIAL_BOUND leaves parts with no smaller prime
+    factor: one below _TRIAL_BOUND^2 is prime, a larger one is certified by
+    Miller-Rabin or split by _rho.  A part at or above _MR_BOUND that is not
+    certified prime raises UnsupportedError, so the work stays bounded."""
     out = []
-    d = 2
-    done = _is_prime(n)
-    while not done and d * d <= n:
+    for d in range(2, _TRIAL_BOUND):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-            done = _is_prime(n)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    parts, large = [n] if n > 1 else [], set()
+    while parts:
+        c = parts.pop()
+        if c < _TRIAL_BOUND ** 2 or _is_prime(c):
+            large.add(c)
+        elif c >= _MR_BOUND:
+            raise UnsupportedError(
+                f"cannot factor a {len(str(c))}-digit number with no prime "
+                f"factor below {_TRIAL_BOUND}: primality is certified only "
+                f"below {_MR_BOUND}")
+        else:
+            f = _rho(c)
+            parts += [f, c // f]
+    return tuple(out) + tuple(sorted(large))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n by Pollard-Brent rho on
+    x -> x^2 + c from x = 2, for c = 1, 2, ... (Brent, BIT 20, 1980), with
+    gcds batched over 128 steps; UnsupportedError after _RHO_STEPS steps."""
+    steps, c = 0, 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            steps += r + min(k, r)
+            if steps > _RHO_STEPS:
+                raise UnsupportedError(
+                    f"cannot factor {n}: Pollard rho found no factor within "
+                    f"{_RHO_STEPS} steps")
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _int_val(n: int, p: int) -> int:

@@ -78,6 +78,16 @@ def test_large_prime_repros_print_one_envelope(capsys):
     assert doc["primes"] == [p] and doc["trees"] == [2]
 
 
+def test_uncertifiable_denominator_prints_one_envelope(capsys):
+    # the denominator has no factor below 1000 and lies above the bound of
+    # the deterministic primality test, so its factorisation is refused
+    q = "1000000000000000000000000000057"
+    rc, out = run(["displacement", "--g", f'[["{q}","0"],["0","1/{q}"]]'],
+                  capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert json.loads(out)["result"]["code"] == "Unsupported"
+
+
 def test_tree_dist_golden(capsys):
     expect = '{"diagnostics": [], "result": {"distance": 2}, "status": "ok"}\n'
     rc, out = run(["tree-dist", "--p", "2", "--g",

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sl2kit.properaction as pa
+import sl2kit.bttree as bttree
 from oracles import (brute_enumerate, displacement_oracle, matrix_word_ball,
-                     random_sl2z)
+                     random_sl2z, reducible_mod_p)
 from sl2kit import (BudgetExceededError, DetNotOneError,
-                    EntryOutsideRingError, Matrix, UnsupportedError, act,
-                    base_vertex, displacement, displacement_hyp, distance,
-                    enumerate_bounded, make_field, make_group, mat,
-                    properness_check, ring_detect, word_ball, word_bfs)
+                    EntryOutsideRingError, Matrix, NotAValuationError,
+                    UnsupportedError, act, base_vertex, displacement,
+                    displacement_hyp, distance, enumerate_bounded, make_field,
+                    make_group, mat, properness_check, ring_detect, word_ball,
+                    word_bfs)
 
 S = mat([[0, -1], [1, 0]])
 T = mat([[1, 1], [0, 1]])
@@ -313,3 +315,103 @@ def test_hyp_predicate_on_float_ties(g, monkeypatch):
         trees_ok = all(distance(v0, act(g, v0)) < C for v0 in v0s)
         assert (g in word_bfs(group, 1, C)) == (expect and trees_ok)
     assert decided.count(N) >= 3
+
+
+# Groups over number fields, each with one inert prime: Q(i) at 3 with
+# Fraction and FieldElement generators and one matrix that mixes the two
+# entry types, x^3 - 2 at 7, and the quartic x^4 + x + 1 at 2.  The gamma^2
+# entries make words of length 3 reach gamma^4, so the reduction by the
+# minimal polynomial is exercised.
+QI = make_field([1, 0, 1])
+CUBIC = make_field([-2, 0, 0, 1])
+QUARTIC = make_field([1, 1, 0, 0, 1])
+U = mat([[QI.one(), QI.gamma()], [QI.zero(), QI.one()]])
+W = mat([[1, QI.gamma() / 3], [0, 1]])
+FIELD_GROUPS = [
+    ([S, D3, U, W], QI, 3, 3),
+    ([S, mat([[1, CUBIC.gamma() ** 2 / 7], [0, 1]]),
+      mat([[7, 0], [0, Fraction(1, 7)]])], CUBIC, 7, 3),
+    ([S, mat([[1, QUARTIC.gamma() ** 2], [0, 1]]), D2], QUARTIC, 2, 3),
+]
+
+
+def _entries(g):
+    return g.rows[0] + g.rows[1]
+
+
+@pytest.mark.parametrize("gens, field, p, length", FIELD_GROUPS)
+def test_field_word_ball_matches_matrix_products(gens, field, p, length):
+    got = word_ball(gens, length)
+    expect = matrix_word_ball(gens, length)
+    assert got == expect
+    for g, h in zip(got, expect):
+        for x, y in zip(_entries(g), _entries(h)):
+            assert type(x) is type(y) and repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("gens, field, p, length", FIELD_GROUPS)
+def test_field_word_bfs_matches_filtered_ball(gens, field, p, length):
+    assert not reducible_mod_p(field.minpoly, p)  # inert, so the gate admits p
+    group = make_group(gens, field)
+    assert group.ring.primes == (p,)
+    v0 = base_vertex(group.tree_contexts[0])
+    ball = matrix_word_ball(gens, length)
+    trees = [distance(v0, act(g, v0)) for g in ball]
+    hyps = [displacement_oracle(g, group.embedding) for g in ball]
+    for c in (1.5, 2.5):
+        assert min(abs(h - c) for h in hyps) > 1e-9  # no float near-tie
+        expect = {g for g, t, h in zip(ball, trees, hyps) if t < c and h < c}
+        assert word_bfs(group, length, c) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(FIELD_GROUPS) - 1),
+       st.lists(st.integers(0, 5), max_size=8))
+def test_field_profile_matches_tree_and_embedding(which, word):
+    gens, field = FIELD_GROUPS[which][:2]
+    steps = gens + [g.inverse() for g in gens]
+    group = make_group(gens, field)
+    g = Matrix.identity(2)
+    for i in word:
+        g = g * steps[i]
+    prof = displacement(g, group)
+    v0 = base_vertex(group.tree_contexts[0])
+    assert prof.trees == (distance(v0, act(g, v0)),)
+    assert prof.hyp == displacement_hyp(g, group.embedding)
+
+
+def test_field_kernel_keeps_gate_and_checks():
+    split = make_group([S, U, mat([[5, 0], [0, Fraction(1, 5)]])], QI)
+    with pytest.raises(NotAValuationError):  # x^2 + 1 splits mod 5
+        displacement(U, split)
+    with pytest.raises(NotAValuationError):
+        word_bfs(split, 2, 2.5)
+    bad = mat([[2, QI.gamma()], [0, 1]])
+    with pytest.raises(DetNotOneError):
+        displacement(bad, make_group([U], QI))
+    # groups built around make_group still meet the checks, on the ints
+    with pytest.raises(DetNotOneError):
+        word_bfs(pa.MarkedGroup([bad], pa.Ring(1, (), QI)), 1, 2.5)
+    with pytest.raises(EntryOutsideRingError):
+        word_bfs(pa.MarkedGroup([W], pa.Ring(1, (), QI)), 1, 2.5)
+    sqrt2 = make_field([-2, 0, 1]).gamma()
+    with pytest.raises(TypeError):
+        word_ball([U, mat([[1, sqrt2], [0, 1]])], 2)
+
+
+def test_field_path_skips_tree_action_and_matrix_products(monkeypatch):
+    gens = FIELD_GROUPS[0][0]
+    group = make_group(gens, QI)
+    ball = word_ball(gens, 2)
+    words = word_bfs(group, 2, 2.5)
+    trees = [displacement(g, group).trees for g in ball]
+
+    def forbidden(*args):
+        raise AssertionError("called on the field path")
+
+    for name in ("act", "canonicalize", "distance"):
+        monkeypatch.setattr(bttree, name, forbidden)
+    monkeypatch.setattr(Matrix, "__mul__", forbidden)
+    assert word_ball(gens, 2) == ball
+    assert word_bfs(group, 2, 2.5) == words
+    assert [displacement(g, group).trees for g in ball] == trees

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import random_nonzero_rational, reducible_mod_p
-from sl2kit import (INF, NotAValuationError, PAdicValuation, extend,
-                    make_field)
-from sl2kit.valuations import _is_prime, _prime_factors
+import sl2kit.valuations as valuations
+from sl2kit import (INF, NotAValuationError, PAdicValuation, UnsupportedError,
+                    extend, make_field)
+from sl2kit.valuations import _MR_BOUND, _is_prime, _prime_factors
 
 
 def test_padic_examples():
@@ -61,6 +62,25 @@ def test_prime_factors_ascending_and_exact():
     big = 10 ** 14 + 31
     assert _prime_factors(big) == (big,)
     assert _prime_factors(12 * big) == (2, 3, big)
+
+
+def test_prime_factors_splits_composite_cofactors():
+    # no cofactor is ever prime here, so trial division alone would run to
+    # the smaller factor
+    q, r = 10 ** 9 + 7, 10 ** 11 + 3
+    assert _is_prime(q) and _is_prime(r)
+    assert _prime_factors(q * q) == (q,)
+    assert _prime_factors(6 * r * q) == (2, 3, q, r)
+
+
+def test_prime_factors_refuses_what_it_cannot_certify(monkeypatch):
+    m89 = 2 ** 89 - 1  # a Mersenne prime above the Miller-Rabin bound
+    assert m89 > _MR_BOUND
+    with pytest.raises(UnsupportedError, match=str(_MR_BOUND)):
+        _prime_factors(12 * m89)
+    monkeypatch.setattr(valuations, "_RHO_STEPS", 10)
+    with pytest.raises(UnsupportedError, match="within 10 steps"):
+        _prime_factors((10 ** 9 + 7) * (10 ** 11 + 3))
 
 
 def test_padic_rejects_floats():
