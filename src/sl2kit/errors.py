@@ -9,9 +9,17 @@ from __future__ import annotations
 
 
 class Sl2KitError(Exception):
-    """Base class for every domain error raised by this package."""
+    """Base class for every domain error raised by this package.
+
+    ``witness`` is the value that shows the failure, where a class names
+    one, else None.
+    """
 
     code = "Error"
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotMonicError(Sl2KitError):
@@ -28,10 +36,6 @@ class ReducibleError(Sl2KitError):
     """
 
     code = "Reducible"
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SingularError(Sl2KitError):
@@ -99,10 +103,6 @@ class IndependenceFailureError(Sl2KitError):
 
     code = "IndependenceFailure"
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class CommutativeError(Sl2KitError):
     """Input pair commutes; in sl2 this forces a scalar-multiple relation.
@@ -112,19 +112,11 @@ class CommutativeError(Sl2KitError):
 
     code = "Commutative"
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotASubalgebraError(Sl2KitError):
     """Bracket of the basis pair leaves their span; ``witness`` is the bracket."""
 
     code = "NotASubalgebra"
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class GIsInHError(Sl2KitError):

@@ -25,16 +25,13 @@ MAX_DEGREE = 4
 
 
 def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of n != 0, ascending, from its prime factors;
+    UnsupportedError when they cannot be certified."""
+    from .valuations import _int_val, _prime_factors  # it imports this module
+    divs = [1]
+    for p in _prime_factors(abs(n)):
+        divs = [d * p ** e for d in divs for e in range(_int_val(n, p) + 1)]
+    return sorted(divs)
 
 
 def _eval_int_poly(coeffs, x: int) -> int:

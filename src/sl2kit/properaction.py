@@ -8,22 +8,25 @@ element is one tree distance per prime (base vertex to its image) together
 with the hyperbolic displacement at the archimedean place; the properness
 predicate is strict: every coordinate < C.
 
-Both cases run on a private integer kernel.  Over Q(gamma) of degree m an
-element is the tuple (a_0, b_0, c_0, d_0, a_1, ..., d_(m-1), D), the matrix
-sum_r [[a_r, b_r], [c_r, d_r]] gamma^r / D with D > 0 and gcd 1 over all
-its ints; m = 1 is the rational (a, b, c, d, D).  The minimal polynomial is
-monic and integral, so a product is an integer bilinear form (_mul_table)
-and a gcd, and word balls are deduplicated on the normalised tuple.  For
-determinant 1 the tree displacement at p is 2 v_p(D) (Serre, Trees, II.1),
-read off the ints with no tree action.  A rational element's hyperbolic
-displacement is arccosh(N / (2 D^2)), N = a^2 + b^2 + c^2 + d^2, and
-hyperbolic._HypBound decides hyp < C as N < 2 cosh(C) D^2 exactly (float
-cut points, then decimal arithmetic at rising precision; 2 cosh C is
-transcendental for rational C > 0, so there are no ties).  Over a field,
-displacement_hyp of the Matrix decides it in floats.  A Matrix is built only
-for an element that is returned or needs displacement_hyp; a 4-bit mask
-beside each field tuple (bit 2i + j for entry (i, j)) records which entries
-are FieldElements, so it gets the entry types a Matrix product would.
+Everything runs on one private integer kernel over Q(gamma) of degree m,
+with Q as m = 1.  An element is the tuple (a_0, b_0, c_0, d_0, a_1, ...,
+d_(m-1), D), the matrix sum_r [[a_r, b_r], [c_r, d_r]] gamma^r / D with
+D > 0 and gcd 1 over all its ints; over Q that is (a, b, c, d, D).  The
+minimal polynomial is monic and integral, so a product is an integer
+bilinear form (_mul_table), compiled once per field into straight-line int
+code, and a gcd; word balls are deduplicated on the normalised tuple.
+Determinant 1 and ring membership are checked on the generators, as
+products of such elements stay such elements.  For determinant 1 the tree
+displacement at p is 2 v_p(D) (Serre, Trees, II.1), read off the ints with
+no tree action.  Over Q the hyperbolic displacement is
+arccosh(N / (2 D^2)), N = a^2 + b^2 + c^2 + d^2, and hyperbolic._HypBound
+decides hyp < C as N < 2 cosh(C) D^2 exactly (float cut points, then
+decimal arithmetic at rising precision; 2 cosh C is transcendental for
+rational C > 0, so there are no ties).  Over a field, displacement_hyp of
+the Matrix decides it in floats.  A Matrix is built only for an element
+that is returned or needs displacement_hyp; a 4-bit mask beside each tuple
+(bit 2i + j for entry (i, j)) records which entries are FieldElements, so
+it gets the entry types a Matrix product would.
 
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
@@ -55,7 +58,7 @@ from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
 from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_value,
                          displacement_hyp)
-from .matrices import Immutable, Matrix, mat
+from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField
 from .valuations import _int_val, _prime_factors
 
@@ -160,19 +163,16 @@ class DisplacementProfile(Immutable):
         return f"DisplacementProfile(trees={list(self.trees)}, hyp={self.hyp:.6g})"
 
 
-def _check_entries_in_ring(g: Matrix, ring: Ring) -> int:
-    """The denominator of g, once g is known to lie in the ring."""
+def _check(g: Matrix, ring: Ring) -> int:
+    """The denominator of g, once g has determinant 1 and lies in the ring."""
+    if g.det() != 1:
+        raise DetNotOneError("displacement requires determinant 1")
     for row in g.rows:
         for x in row:
             if isinstance(x, FieldElement) and x.field != ring.field:
                 raise EntryOutsideRingError(
                     f"entry {x!r} is not in the declared field")
-    D = _denominator(g)
-    _check_denominator(D, ring)
-    return D
-
-
-def _check_denominator(d: int, ring: Ring):
+    D = d = _denominator(g)
     for p in ring.primes:
         while d % p == 0:
             d //= p
@@ -181,36 +181,50 @@ def _check_denominator(d: int, ring: Ring):
             f"entry denominator has a prime factor outside "
             f"{{{', '.join(map(str, ring.primes))}}}" if ring.primes
             else "entries must be integral (s = 1)")
+    return D
 
 
 def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
     """Profile of g acting on the product of the trees and the half-space."""
-    if g.det() != 1:
-        raise DetNotOneError("displacement requires determinant 1")
-    D = _check_entries_in_ring(g, group.ring)
+    trees = _tree_moves(_check(g, group.ring), group.ring.primes)
     if group.ring.field is not None:
         group.tree_contexts  # the valuation gate refuses a non-inert prime
-        return DisplacementProfile(_tree_moves(D, group.ring.primes),
-                                   displacement_hyp(g, group.embedding))
-    a, b, c, d, D = _kernel(g)
+        return DisplacementProfile(trees, displacement_hyp(g, group.embedding))
+    (a, b, c, d, D), _ = _kernel(g, 1)
     N, D2 = a * a + b * b + c * c + d * d, D * D
-    return DisplacementProfile(_tree_moves(D, group.ring.primes),
-                               _hyp_value(N, D2), (N, D2))
+    return DisplacementProfile(trees, _hyp_value(N, D2), (N, D2))
 
 
 # ---------------------------------------------------------------------------
 # integer kernel
 # ---------------------------------------------------------------------------
 
-def _kernel(g: Matrix):
-    """Rational g as (a, b, c, d, D)."""
-    return _field_kernel(g, 1)[0]
+def _kernel(g: Matrix, m: int):
+    """(tuple, mask) of g over a field of degree m (1 for Q);
+    D = _denominator(g) leaves the gcd 1."""
+    D, coeffs, mask = _denominator(g), [], 0
+    for e, x in enumerate(x for row in g.rows for x in row):
+        if isinstance(x, FieldElement):
+            mask |= 1 << e
+            coeffs.append(x.coeffs)
+        else:
+            coeffs.append((x,) + (0,) * (m - 1))
+    return tuple([cs[r].numerator * (D // cs[r].denominator)
+                  for r in range(m) for cs in coeffs] + [D]), mask
 
 
-def _matrix(k) -> Matrix:
-    a, b, c, d, D = k
-    return Matrix(((Fraction(a, D), Fraction(b, D)),
-                   (Fraction(c, D), Fraction(d, D))))
+def _matrix(k, mask: int = 0, field: NumberField | None = None) -> Matrix:
+    """The Matrix of a kernel tuple: Fractions, except the entries whose
+    mask bit is set, which are FieldElements of field."""
+    D = k[-1]
+    e = [Fraction(k[0], D), Fraction(k[1], D), Fraction(k[2], D),
+         Fraction(k[3], D)]
+    if mask:
+        for i in range(4):
+            if mask >> i & 1:
+                e[i] = FieldElement(
+                    field, tuple([Fraction(c, D) for c in k[i:-1:4]]))
+    return Matrix(((e[0], e[1]), (e[2], e[3])))
 
 
 def _tree_moves(D: int, primes):
@@ -223,113 +237,81 @@ def _tree_moves(D: int, primes):
     return tuple(2 * _int_val(D, p) for p in primes)
 
 
-def _kernel_mul(x, y):
-    """Product of two kernel tuples, normalised."""
-    a, b, c, d, D = x
-    e, f, g, h, E = y
-    p11, p12 = a * e + b * g, a * f + b * h
-    p21, p22, den = c * e + d * g, c * f + d * h, D * E
-    if den != 1:
-        k = math.gcd(p11, p12, p21, p22, den)
-        if k != 1:
-            return p11 // k, p12 // k, p21 // k, p22 // k, den // k
-    return p11, p12, p21, p22, den
-
-
-def _field_kernel(g: Matrix, m: int):
-    """(tuple, mask) of g over a field of degree m; D = _denominator(g)
-    leaves the gcd 1."""
-    D, coeffs, mask = _denominator(g), [], 0
-    for e, x in enumerate(x for row in g.rows for x in row):
-        if isinstance(x, FieldElement):
-            mask |= 1 << e
-            coeffs.append(x.coeffs)
-        else:
-            coeffs.append((x,) + (0,) * (m - 1))
-    return tuple([cs[r].numerator * (D // cs[r].denominator)
-                  for r in range(m) for cs in coeffs] + [D]), mask
-
-
-def _field_matrix(k, mask: int, field: NumberField) -> Matrix:
-    D = k[-1]
-    e = [FieldElement(field, tuple([Fraction(c, D) for c in k[i:-1:4]]))
-         if mask >> i & 1 else Fraction(k[i], D) for i in range(4)]
-    return Matrix(((e[0], e[1]), (e[2], e[3])))
-
-
-def _mul_table(field: NumberField):
+def _mul_table(field: NumberField | None):
     """Numerator 4r + 2i + j of a product x y (the gamma^r coefficient of
     entry (i, j)) is the sum of w * x[p] * y[q] over its (w, p, q)."""
-    m = field.degree
+    m, powers = (field.degree, field._powers) if field else (1, ((1,),))
     table = [[] for _ in range(4 * m)]
     for s, t, i, j, k in product(range(m), range(m), *[(0, 1)] * 3):
-        for r, w in enumerate(field._powers[s + t]):
+        for r, w in enumerate(powers[s + t]):
             if w:
                 table[4 * r + 2 * i + j].append(
                     (int(w), 4 * s + 2 * i + k, 4 * t + 2 * k + j))
     return table
 
 
-def _field_mul(x, y, table):
-    """Product of two field-kernel tuples, normalised.
-
-    Tuples here are built from lists: tuple(genexpr) shrinks an
-    over-allocated tuple, and the shrunk ones pile up in CPython's
-    per-size free lists (about 0.5 MiB after a few Q(i) word_bfs calls)."""
-    out = [sum(w * x[p] * y[q] for w, p, q in terms) for terms in table]
-    out.append(x[-1] * y[-1])
-    k = math.gcd(*out)
-    return tuple([v // k for v in out] if k != 1 else out)
+_MULTIPLY = {}
 
 
-def _adjugate(k):
-    """[[d, -b], [-c, a]] of a field-kernel tuple: k times it is det k."""
-    return tuple([v for r in range(0, len(k) - 1, 4)
-                  for v in (k[r + 3], -k[r + 1], -k[r + 2], k[r])] + [k[-1]])
-
-
-def _field_ball(steps, field: NumberField, max_len: int):
-    """The word ball over the field as tuples in BFS discovery order, and
-    the mask of each at its first discovery."""
-    table = _mul_table(field)
-    ident, _ = _field_kernel(Matrix.identity(2), field.degree)
-    masks = {ident: 0}
-
-    def mul(x, step):
-        k, smask = step
-        prod = _field_mul(x, k, table)
-        if prod not in masks:
-            # entry (i, j) of x s is a FieldElement when row i of x or
-            # column j of s holds one (a product or sum with one is one)
-            r, c = masks[x], (smask | smask >> 2) & 3
-            masks[prod] = (r & 3 and 3) | (r & 12 and 12) | c | c << 2
-        return prod
-
-    return _ball(ident, [_field_kernel(s, field.degree) for s in steps],
-                 mul, max_len), masks
+def _multiply(field: NumberField | None):
+    """The normalised product of two kernel tuples over field (None for Q):
+    _mul_table compiled once per field into straight-line int code."""
+    mul = _MULTIPLY.get(field)
+    if mul is None:
+        table = _mul_table(field)
+        n = range(len(table))
+        out = ", ".join(f"o{i}" for i in n)
+        src = [
+            "def mul(x, y):",
+            f"    {', '.join(f'x{i}' for i in n)}, X = x",
+            f"    {', '.join(f'y{i}' for i in n)}, Y = y",
+            *(f"    o{i} = " + " + ".join(
+                f"{'' if w == 1 else f'{w} * '}x{p} * y{q}"
+                for w, p, q in table[i]) for i in n),
+            "    den = X * Y",
+            "    if den != 1:",
+            f"        k = gcd({out}, den)",
+            "        if k != 1:",
+            f"            return {', '.join(f'o{i} // k' for i in n)}, den // k",
+            f"    return {out}, den"]
+        namespace = {"gcd": math.gcd}
+        exec("\n".join(src), namespace)
+        mul = _MULTIPLY[field] = namespace["mul"]
+    return mul
 
 
 # ---------------------------------------------------------------------------
 # word balls
 # ---------------------------------------------------------------------------
 
-def _ball(ident, steps, mul, max_len: int):
-    """Distinct products of at most max_len steps under mul, in BFS
-    discovery order from ident."""
-    order = [ident]
-    seen = {ident}
+def _ball(steps, field: NumberField | None, max_len: int):
+    """{tuple: mask} of the distinct products of at most max_len steps over
+    field (None for Q), in BFS discovery order from the identity; each
+    mask is the one of the first discovery."""
+    m = field.degree if field else 1
+    mul = _multiply(field)
+    ident = (1, 0, 0, 1) + (0,) * (4 * m - 4) + (1,)
+    # entry (i, j) of x s is a FieldElement when row i of x or column j of
+    # s holds one (a product or sum with one is one)
+    cols = []
+    for s in steps:
+        k, mask = _kernel(s, m)
+        c = (mask | mask >> 2) & 3
+        cols.append((k, c | c << 2))
+    ball = {ident: 0}
     frontier = [ident]
     for _ in range(max_len):
         nxt = []
-        for m in frontier:
-            for s in steps:
-                prod = mul(m, s)
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
+        for x in frontier:
+            r = ball[x]
+            rows = (r & 3 and 3) | (r & 12 and 12)
+            for k, c in cols:
+                prod = mul(x, k)
+                if prod not in ball:
+                    ball[prod] = rows | c
                     nxt.append(prod)
         frontier = nxt
-    return order
+    return ball
 
 
 def _steps(generators):
@@ -352,52 +334,42 @@ def word_ball(generators, max_len: int):
     product would make one."""
     steps = _steps(generators)
     field = _steps_field(steps)
-    if field is None:
-        ball = _ball((1, 0, 0, 1, 1), [_kernel(s) for s in steps],
-                     _kernel_mul, max_len)
-        return [_matrix(k) for k in ball]
-    ball, masks = _field_ball(steps, field, max_len)
-    return [_field_matrix(k, masks[k], field) for k in ball]
+    return [_matrix(k, mask, field)
+            for k, mask in _ball(steps, field, max_len).items()]
 
 
 def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
     """Ball elements whose displacement profile is < C in every coordinate.
-    Over a field each element gets displacement()'s checks, on the ints."""
-    steps = _steps(group.generators)
-    primes = group.ring.primes
-    tree_ok = {}
-    found = set()
-    field = group.ring.field
-    if field is not None:
-        if _steps_field(steps) not in (None, field):
-            raise EntryOutsideRingError(
-                "generator entries are not in the declared field")
+
+    The generators get displacement()'s checks.  Products of determinant-1
+    elements of Z[1/s, gamma] are again such elements (gamma^k reduces with
+    integer coefficients), so the ball needs no further check."""
+    ring = group.ring
+    for g in group.generators:
+        _check(g, ring)
+    field, primes = ring.field, ring.primes
+    if field is None:
+        bound = _HypBound(C)
+    else:
         group.tree_contexts  # the valuation gate refuses a non-inert prime
         emb = group.embedding
-        table = _mul_table(field)
-        ball, masks = _field_ball(steps, field, max_len)
-        for k in ball:  # ball[0] is the identity
-            if _field_mul(k, _adjugate(k), table) != ball[0]:
-                raise DetNotOneError("displacement requires determinant 1")
-            D = k[-1]
-            ok = tree_ok.get(D)
-            if ok is None:
-                _check_denominator(D, group.ring)
-                ok = tree_ok[D] = all(t < C for t in _tree_moves(D, primes))
-            if ok:
-                g = _field_matrix(k, masks[k], field)
-                if displacement_hyp(g, emb) < C:
-                    found.add(g)
-        return found
-    bound = _HypBound(C)
-    for k in _ball((1, 0, 0, 1, 1), [_kernel(s) for s in steps], _kernel_mul,
-                   max_len):
-        a, b, c, d, D = k
+    tree_ok = {}
+    found = set()
+    for k, mask in _ball(_steps(group.generators), field, max_len).items():
+        D = k[-1]
         ok = tree_ok.get(D)
         if ok is None:
             ok = tree_ok[D] = all(t < C for t in _tree_moves(D, primes))
-        if ok and bound.below(a * a + b * b + c * c + d * d, D * D):
-            found.add(_matrix(k))
+        if not ok:
+            continue
+        if field is None:
+            a, b, c, d, D = k
+            if bound.below(a * a + b * b + c * c + d * d, D * D):
+                found.add(_matrix(k))
+        else:
+            g = _matrix(k, mask, field)
+            if displacement_hyp(g, emb) < C:
+                found.add(g)
     return found
 
 

@@ -86,6 +86,11 @@ def test_uncertifiable_denominator_prints_one_envelope(capsys):
                   capsys)
     assert rc == 2 and out.count("\n") == 1
     assert json.loads(out)["result"]["code"] == "Unsupported"
+    # the same number as a constant term: its divisors cannot be listed
+    rc, out = run(["valuate", "--p", "3", "--minpoly", f"[{q},0,1]",
+                   "--x", '["0","1"]'], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert json.loads(out)["result"]["code"] == "Unsupported"
 
 
 def test_tree_dist_golden(capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sl2kit import (FieldElement, NotMonicError, ReducibleError,
-                    is_algebraic_integer, make_field, minimal_polynomial)
+                    UnsupportedError, is_algebraic_integer, make_field,
+                    minimal_polynomial)
 
 
 def test_make_field_degree_two():
@@ -19,6 +20,18 @@ def test_make_field_rejects_reducible():
     with pytest.raises(ReducibleError) as exc:
         make_field([-1, 0, 1])  # x^2 - 1
     assert exc.value.witness == (-1, 1)  # x - 1 found before x + 1
+
+
+def test_make_field_large_constant_term():
+    # the rational-root search lists the divisors of c0 from its prime
+    # factors, so a 15-digit prime c0 is settled without a sqrt(c0) scan
+    q = 10**14 + 31
+    assert make_field([q, 0, 1]).degree == 2
+    with pytest.raises(ReducibleError) as exc:
+        make_field([-q, 1, -q, 1])  # (x - q)(x^2 + 1)
+    assert exc.value.witness == (-q, 1)
+    with pytest.raises(UnsupportedError):  # q^2 is beyond certified primality
+        make_field([q * q, 0, 1])
 
 
 def test_make_field_rejects_nonmonic():

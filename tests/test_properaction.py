@@ -61,6 +61,12 @@ def test_displacement_rejects_entries_outside_ring():
     group = make_group([mat([[2, 0], [0, HALF]])])
     with pytest.raises(EntryOutsideRingError):
         displacement(mat([[1, Fraction(1, 3)], [0, 1]]), group)
+    # a rational group built around make_group meets the same checks
+    with pytest.raises(DetNotOneError):
+        word_bfs(pa.MarkedGroup([mat([[2, 0], [0, 1]])], pa.Ring(1, (), None)),
+                 1, 2.5)
+    with pytest.raises(EntryOutsideRingError):
+        word_bfs(pa.MarkedGroup([T, D3], group.ring), 1, 2.5)
 
 
 def test_profile_less_than_is_strict():
@@ -296,8 +302,11 @@ def _below_oracle(N, D2, C):
 def test_hyp_predicate_on_float_ties(g, monkeypatch):
     # C is the float nearest the element's own displacement, so the float
     # enclosure of 2 cosh C cannot separate N from the bound
-    a, b, c, d, den = pa._kernel(g)
-    N, den2 = a * a + b * b + c * c + d * d, den * den
+    entries = g.rows[0] + g.rows[1]
+    den = math.lcm(*(x.denominator for x in entries))
+    N = sum((x * den) ** 2 for x in entries)
+    assert N.denominator == 1
+    N, den2 = N.numerator, den * den
     c0 = math.acosh(N / (2 * den2))
     decided = []
     real = pa._HypBound.decide
@@ -319,12 +328,14 @@ def test_hyp_predicate_on_float_ties(g, monkeypatch):
 
 # Groups over number fields, each with one inert prime: Q(i) at 3 with
 # Fraction and FieldElement generators and one matrix that mixes the two
-# entry types, x^3 - 2 at 7, and the quartic x^4 + x + 1 at 2.  The gamma^2
+# entry types, x^3 - 2 at 7, the quartic x^4 + x + 1 at 2, and x^2 + 2 at 5,
+# of the same degree as Q(i) but another multiplication.  The gamma^2
 # entries make words of length 3 reach gamma^4, so the reduction by the
 # minimal polynomial is exercised.
 QI = make_field([1, 0, 1])
 CUBIC = make_field([-2, 0, 0, 1])
 QUARTIC = make_field([1, 1, 0, 0, 1])
+QM2 = make_field([2, 0, 1])
 U = mat([[QI.one(), QI.gamma()], [QI.zero(), QI.one()]])
 W = mat([[1, QI.gamma() / 3], [0, 1]])
 FIELD_GROUPS = [
@@ -332,6 +343,8 @@ FIELD_GROUPS = [
     ([S, mat([[1, CUBIC.gamma() ** 2 / 7], [0, 1]]),
       mat([[7, 0], [0, Fraction(1, 7)]])], CUBIC, 7, 3),
     ([S, mat([[1, QUARTIC.gamma() ** 2], [0, 1]]), D2], QUARTIC, 2, 3),
+    ([S, mat([[1, QM2.gamma() / 5], [0, 1]]),
+      mat([[5, 0], [0, Fraction(1, 5)]])], QM2, 5, 3),
 ]
 
 
