@@ -15,6 +15,8 @@ and BFS deduplication.
 Two classes are adjacent when p*L < M < L for representatives; each vertex
 has exactly q+1 neighbours (q the residue field size): the q classes
 M*[[p, j],[0, 1]] for residue representatives j, plus M*[[1, 0],[0, p]].
+In canonical form these are (n + 1, b + j * p^n) and (n - 1, b), each
+offset reduced (Serre, Trees, II.1).
 The closed-form distance between u and v is
 
     val(det g) - 2 * min_ij val(g_ij)    for g = M_u^-1 * M_v,
@@ -116,7 +118,7 @@ def tree_context(p: int, field: NumberField | None = None) -> TreeContext:
 
 
 class TreeVertex(Immutable):
-    """Canonical lattice class (n, b); build these via canonicalize()."""
+    """Canonical lattice class (n, b), offset reduced; see canonicalize()."""
 
     __slots__ = ("ctx", "n", "b", "_hash")
 
@@ -231,15 +233,13 @@ def act(g: Matrix, v: TreeVertex) -> TreeVertex:
 
 
 def neighbors(v: TreeVertex) -> set:
-    """The q+1 adjacent classes."""
-    ctx = v.ctx
-    m = matrix_form(v)
-    p = ctx.coerce(ctx.p)
-    one, zero = ctx.coerce(1), ctx.zero()
-    out = set()
-    for j in ctx.residue_reps():
-        out.add(canonicalize(m * mat([[p, ctx.coerce(j)], [zero, one]]), ctx))
-    out.add(canonicalize(m * mat([[one, zero], [zero, p]]), ctx))
+    """The q+1 adjacent classes: (n + 1, b + j * p^n) for the residue
+    representatives j, and (n - 1, b), offsets reduced."""
+    ctx, n, b = v.ctx, v.n, v.b
+    pn = Fraction(ctx.p) ** n
+    out = {TreeVertex(ctx, n + 1, _reduce_offset(b + j * pn, n + 1, ctx))
+           for j in ctx.residue_reps()}
+    out.add(TreeVertex(ctx, n - 1, _reduce_offset(b, n - 1, ctx)))
     return out
 
 

@@ -188,6 +188,8 @@ def _random_words(generators, count, max_len, seed):
 
 
 def _cmd_embed(args):
+    if args.samples < 1:
+        raise _UsageError("--samples must be at least 1")
     group = parse_group(_load_json(args.group, "--group"))
     basis = select_basis(word_ball(group.generators, args.ball))
     rep = Rep4(basis)

@@ -314,6 +314,11 @@ def _ball(steps, field: NumberField | None, max_len: int):
     return ball
 
 
+def _check_max_len(max_len: int):
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+
+
 def _steps(generators):
     return list(generators) + [g.inverse() for g in generators]
 
@@ -332,6 +337,7 @@ def word_ball(generators, max_len: int):
     discovery order (deterministic for a fixed generator order), multiplied
     as kernel tuples.  An entry is a FieldElement exactly where the Matrix
     product would make one."""
+    _check_max_len(max_len)
     steps = _steps(generators)
     field = _steps_field(steps)
     return [_matrix(k, mask, field)
@@ -344,6 +350,7 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
     The generators get displacement()'s checks.  Products of determinant-1
     elements of Z[1/s, gamma] are again such elements (gamma^k reduces with
     integer coefficients), so the ball needs no further check."""
+    _check_max_len(max_len)
     ring = group.ring
     for g in group.generators:
         _check(g, ring)
@@ -513,6 +520,7 @@ class PropernessReport(Immutable):
 def properness_check(group: MarkedGroup, C: float, max_len: int,
                      budget: int | None = None) -> PropernessReport:
     """Certify word_bfs(C, max_len) as a subset of the exact enumeration."""
+    _check_max_len(max_len)
     result = enumerate_bounded(group, C, budget)
     words = word_bfs(group, max_len, C)
     violations = sorted(words - result.elements, key=repr)

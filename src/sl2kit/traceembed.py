@@ -8,9 +8,12 @@ its coordinate table is recovered by solving the Gram system
 
     tr(g g_i g_k) = sum_j P_ij tr(g_j g_k).
 
-alpha() returns the transpose of that table: the row-convention table
+The transpose of that table is alpha(g): the row-convention table
 composes contravariantly (P(gh) = P(h) P(g)), so the transpose is the side
-that satisfies alpha(gh) = alpha(g) alpha(h).
+that satisfies alpha(gh) = alpha(g) alpha(h).  The system is linear in g,
+so alpha is the left-regular representation of the 2x2 matrices in the
+basis g1..g4: TraceBasis solves it once per matrix unit E_ab, and alpha(g)
+is sum g_ab * alpha(E_ab).  Rep4 wraps alpha and caches nothing.
 
 Everything here is exact.  Entry integrality is measured per element with
 is_algebraic_integer and reported, never assumed.
@@ -19,7 +22,7 @@ is_algebraic_integer and reported, never assumed.
 from __future__ import annotations
 
 from .errors import DetNotOneError, RankDeficientError
-from .matrices import Immutable, Matrix, rank
+from .matrices import Immutable, Matrix, mat, rank
 from .numberfield import is_algebraic_integer
 
 
@@ -34,9 +37,10 @@ def integral_characteristic(g: Matrix) -> bool:
 
 class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
-    2x2 matrix space, together with their Gram matrix."""
+    2x2 matrix space, their Gram matrix, and the images alpha(E_ab) of the
+    matrix units E_00, E_01, E_10, E_11."""
 
-    __slots__ = ("elements", "gram", "_gram_inv")
+    __slots__ = ("elements", "gram", "tables")
 
     def __init__(self, elements, gram: Matrix):
         elements = tuple(elements)
@@ -44,16 +48,17 @@ class TraceBasis(Immutable):
             raise ValueError("a trace basis has exactly four elements")
         if gram.n != 4 or gram.det() == 0:
             raise RankDeficientError("Gram matrix must be invertible 4x4")
+        # alpha(E_ab) by the Gram solve, whose entry types alpha keeps
+        gram_inv = gram.inverse()
+        units = (mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
+                 mat([[0, 0], [1, 0]]), mat([[0, 0], [0, 1]]))
+        tables = tuple(
+            (Matrix(tuple(tuple((e * gi * gk).trace() for gk in elements)
+                          for gi in elements)) * gram_inv).transpose()
+            for e in units)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_gram_inv", None)
-
-    def gram_inverse(self) -> Matrix:
-        inv = self._gram_inv
-        if inv is None:
-            inv = self.gram.inverse()
-            object.__setattr__(self, "_gram_inv", inv)
-        return inv
+        object.__setattr__(self, "tables", tables)
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
@@ -87,13 +92,16 @@ def select_basis(words) -> TraceBasis:
 
 
 def alpha(g: Matrix, basis: TraceBasis) -> Matrix:
-    """4x4 image of g: column i expresses g*g_i in the basis g_1..g_4."""
-    rhs_rows = []
-    for gi in basis.elements:
-        left = g * gi
-        rhs_rows.append(tuple((left * gk).trace() for gk in basis.elements))
-    table = Matrix(tuple(rhs_rows)) * basis.gram_inverse()
-    return table.transpose()
+    """4x4 image of g: column i expresses g*g_i in the basis g_1..g_4.
+
+    g_00*A_00 + g_01*A_01 + g_10*A_10 + g_11*A_11 for the unit tables A_ab;
+    an entry is a FieldElement exactly where the Gram solve for g makes one
+    (where g, the basis, or column i of the Gram inverse holds one)."""
+    (g00, g01), (g10, g11) = g.rows
+    return Matrix(tuple(
+        tuple(g00 * w + g01 * x + g10 * y + g11 * z
+              for w, x, y, z in zip(*rows))
+        for rows in zip(*(t.rows for t in basis.tables))))
 
 
 def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
@@ -111,29 +119,18 @@ def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
 
 
 class Rep4:
-    """Callable wrapper caching alpha images by exact matrix value.
-
-    The cache is append-only and every solve is pure, so concurrent reads
-    and redundant recomputation are both harmless.
-    """
+    """alpha(., basis) as a callable, checked once on the identity."""
 
     def __init__(self, basis: TraceBasis):
         self.basis = basis
-        self._cache = {}
-        ident = alpha(Matrix.identity(2), basis)
-        if not ident.is_identity():
+        if not alpha(Matrix.identity(2), basis).is_identity():
             raise ArithmeticError("alpha(identity) must be the identity")
-        self._cache[Matrix.identity(2)] = ident
 
     def __call__(self, g: Matrix) -> Matrix:
-        m = self._cache.get(g)
-        if m is None:
-            m = alpha(g, self.basis)
-            self._cache[g] = m
-        return m
+        return alpha(g, self.basis)
 
     def __repr__(self):
-        return f"Rep4(cached={len(self._cache)})"
+        return f"Rep4({self.basis!r})"
 
 
 def _poly_square(coeffs):

@@ -74,8 +74,10 @@ def _prime_factors(n: int):
 
     Trial division below _TRIAL_BOUND leaves parts with no smaller prime
     factor: one below _TRIAL_BOUND^2 is prime, a larger one is certified by
-    Miller-Rabin or split by _rho.  A part at or above _MR_BOUND that is not
-    certified prime raises UnsupportedError, so the work stays bounded."""
+    Miller-Rabin or split by _rho.  A part at or above _MR_BOUND is replaced
+    by its square root when it is a perfect square; any other part there
+    (a cube of a large prime, say) raises UnsupportedError, so the work
+    stays bounded."""
     out = []
     for d in range(2, _TRIAL_BOUND):
         if d * d > n:
@@ -90,10 +92,13 @@ def _prime_factors(n: int):
         if c < _TRIAL_BOUND ** 2 or _is_prime(c):
             large.add(c)
         elif c >= _MR_BOUND:
-            raise UnsupportedError(
-                f"cannot factor a {len(str(c))}-digit number with no prime "
-                f"factor below {_TRIAL_BOUND}: primality is certified only "
-                f"below {_MR_BOUND}")
+            root = math.isqrt(c)
+            if root * root != c:
+                raise UnsupportedError(
+                    f"cannot factor a {len(str(c))}-digit number with no "
+                    f"prime factor below {_TRIAL_BOUND}: primality is "
+                    f"certified only below {_MR_BOUND}")
+            parts.append(root)
         else:
             f = _rho(c)
             parts += [f, c // f]

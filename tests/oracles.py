@@ -1,14 +1,29 @@
 """Independent oracles the tests cross-check against.
 
 Nothing here calls the closed-form code paths under test: tree distance is
-recomputed by breadth-first graph walking over neighbors(), and hyperbolic
+recomputed by breadth-first graph walking over neighbors(), neighbors() is
+checked against matrix products and canonicalize(), and hyperbolic
 displacement by actually moving the basepoint and measuring.
 """
 
 from fractions import Fraction
 
-from sl2kit import (BASEPOINT, embed_matrix, hyp_distance, mobius_act,
-                    neighbors)
+from sl2kit import (BASEPOINT, canonicalize, embed_matrix, hyp_distance, mat,
+                    matrix_form, mobius_act, neighbors)
+
+
+def product_neighbors(v):
+    """The q+1 adjacent classes as lattices: canonicalize M*[[p, j], [0, 1]]
+    for the residue representatives j, and M*[[1, 0], [0, p]]."""
+    ctx = v.ctx
+    m = matrix_form(v)
+    p = ctx.coerce(ctx.p)
+    one, zero = ctx.coerce(1), ctx.zero()
+    out = set()
+    for j in ctx.residue_reps():
+        out.add(canonicalize(m * mat([[p, ctx.coerce(j)], [zero, one]]), ctx))
+    out.add(canonicalize(m * mat([[one, zero], [zero, p]]), ctx))
+    return out
 
 
 def bfs_distance(u, v, cap=24):
@@ -31,30 +46,34 @@ def bfs_distance(u, v, cap=24):
 
 
 def bfs_spanning_tree(origin, radius):
-    """Depths and parent pointers for the ball around origin, found by BFS.
+    """The ball around origin found by BFS, as the vertex list in discovery
+    order plus the depth and parent index of each vertex (-1 for origin).
 
     Pair this with walk_distance() for an all-pairs oracle that stays cheap:
-    one graph traversal instead of one per pair.  Correct only when the
-    neighbor graph really is a tree, so check that first (edge count
-    2*(|V|-1) inside the ball).
+    one graph traversal instead of one per pair, and walks on int ids.
+    Correct only when the neighbor graph really is a tree, so check that
+    first (edge count 2*(|V|-1) inside the ball).
     """
-    depth = {origin: 0}
-    parent = {origin: None}
-    frontier = [origin]
+    verts, depth, parent = [origin], [0], [-1]
+    index = {origin: 0}
+    frontier = [0]
     for d in range(1, radius + 1):
         nxt = []
-        for u in frontier:
-            for w in neighbors(u):
-                if w not in depth:
-                    depth[w] = d
-                    parent[w] = u
-                    nxt.append(w)
+        for i in frontier:
+            for w in neighbors(verts[i]):
+                if w not in index:
+                    index[w] = len(verts)
+                    nxt.append(len(verts))
+                    verts.append(w)
+                    depth.append(d)
+                    parent.append(i)
         frontier = nxt
-    return depth, parent
+    return verts, depth, parent
 
 
 def walk_distance(u, w, depth, parent):
-    """Distance in the BFS spanning tree: climb both to the meeting point."""
+    """Distance between the vertex ids u and w in the BFS spanning tree:
+    climb both to the meeting point."""
     steps = 0
     while u != w:
         if depth[u] >= depth[w]:
@@ -116,6 +135,20 @@ def matrix_word_ball(generators, max_len):
                     nxt.append(prod)
         frontier = nxt
     return order
+
+
+def alpha_by_solve(g, basis):
+    """The 4x4 image of g column by column: column i holds the coordinates
+    c of g*g_i in the basis, from sum_j c_j*g_j = g*g_i on the four
+    flattened entries, by linear_solve."""
+    from sl2kit import Matrix, linear_solve
+    flat = [(r, s) for r in range(2) for s in range(2)]
+    rows = [[gj[r, s] for gj in basis.elements] for r, s in flat]
+    cols = []
+    for gi in basis.elements:
+        prod = g * gi
+        cols.append(linear_solve(rows, [prod[r, s] for r, s in flat]))
+    return Matrix(tuple(zip(*cols)))
 
 
 def brute_enumerate(primes, C):

@@ -100,16 +100,15 @@ def test_criterion_03_tree_distance_matches_graph():
                       "every vertex pair in large balls", 60):
         for p, radius in ((2, 6), (3, 6), (5, 4)):
             v0 = base_vertex(tree_context(p))
-            depth, parent = bfs_spanning_tree(v0, radius)
-            verts = list(depth)
+            verts, depth, parent = bfs_spanning_tree(v0, radius)
             vset = set(verts)
             edges = sum(1 for v in verts
                         for w in neighbors(v) if w in vset)
             # the ball really is a tree, so spanning-tree walks are exact
             assert edges == 2 * (len(verts) - 1)
-            for u in verts:
-                for w in verts:
-                    assert distance(u, w) == walk_distance(u, w,
+            for i, u in enumerate(verts):
+                for j, w in enumerate(verts):
+                    assert distance(u, w) == walk_distance(i, j,
                                                            depth, parent)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bfs_distance, bfs_spanning_tree, walk_distance
+from oracles import (bfs_distance, bfs_spanning_tree, product_neighbors,
+                     walk_distance)
 from sl2kit import (act, ball, base_vertex, canonicalize, distance,
                     make_field, mat, matrix_form, neighbors, tree_context,
                     vertices_equal)
@@ -84,11 +85,24 @@ def test_distance_matches_bfs_small():
 def test_distance_matches_spanning_tree_walks():
     for p in (2, 3):
         v0 = base_vertex(tree_context(p))
-        depth, parent = bfs_spanning_tree(v0, 3)
-        verts = list(depth)
-        for u in verts:
-            for w in verts:
-                assert distance(u, w) == walk_distance(u, w, depth, parent)
+        verts, depth, parent = bfs_spanning_tree(v0, 3)
+        for i, u in enumerate(verts):
+            for j, w in enumerate(verts):
+                assert distance(u, w) == walk_distance(i, j, depth, parent)
+
+
+@pytest.mark.parametrize("p, minpoly, radius", [(2, None, 5), (3, None, 4),
+                                                (3, [1, 0, 1], 2),
+                                                (2, [1, 1, 1], 3)])
+def test_neighbors_match_matrix_products(p, minpoly, radius):
+    # the closed form against canonicalize() of the lattice products, which
+    # also ties the BFS oracles above to canonicalize()
+    field = make_field(minpoly) if minpoly else None
+    for v in ball(base_vertex(tree_context(p, field)), radius):
+        got, want = neighbors(v), product_neighbors(v)
+        assert got == want
+        assert ({(type(w.b), repr(w)) for w in got}
+                == {(type(w.b), repr(w)) for w in want})
 
 
 def test_neighbor_counts():

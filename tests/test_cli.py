@@ -251,6 +251,50 @@ def test_embed_report(capsys):
     assert out2 == out
 
 
+FIELD_GROUP = ('{"minpoly": [1,1,1], "generators": '
+               '[[[["1"],["0","1"]],[["0"],["1"]]], [["0","-1"],["1","0"]]]}')
+
+
+def test_embed_field_golden(capsys):
+    # basis and Gram matrix mix Fraction and FieldElement entries, and the
+    # alpha tables show which entries come out as field elements
+    expect = (
+        '{"diagnostics": ["seed 0", "ball radius 2"], '
+        '"result": {"alpha_tables": [[[["2", "0"], ["0", "0"], ["1", "0"], '
+        '["0", "0"]], [["0", "0"], ["0", "0"], ["0", "0"], ["-1", "0"]], '
+        '[["-1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]], [["0", "0"], '
+        '["1", "0"], ["0", "0"], ["2", "0"]]], [[["0", "0"], ["-1", "0"], '
+        '["0", "-1"], ["0", "0"]], [["1", "0"], ["0", "0"], ["0", "0"], '
+        '["0", "1"]], [["0", "0"], ["0", "0"], ["0", "0"], ["-1", "0"]], '
+        '[["0", "0"], ["0", "0"], ["1", "0"], ["0", "0"]]]], '
+        '"basis": [[["1", "0"], ["0", "1"]], [["0", "-1"], ["1", "0"]], '
+        '[[["1", "0"], ["0", "-1"]], [["0", "0"], ["1", "0"]]], [[["0", '
+        '"1"], ["-1", "0"]], [["1", "0"], ["0", "0"]]]], '
+        '"checks": {"all_entries_integral": true, '
+        '"entry_integrality": [true, true, true, true, true, true], '
+        '"failures": [], "homomorphism_pairs": 5, "identity_images": 2, '
+        '"ok": true, "samples": 6}, "gram": [["2", "0", ["2", "0"], ["0", '
+        '"1"]], ["0", "-2", ["0", "-1"], ["-2", "0"]], [["2", "0"], ["0", '
+        '"-1"], ["2", "0"], ["0", "0"]], [["0", "1"], ["-2", "0"], ["0", '
+        '"0"], ["-3", "-1"]]]}, "status": "ok"}'
+        "\n")
+    rc, out = run(["embed", "--group", FIELD_GROUP, "--samples", "6",
+                   "--ball", "2"], capsys)
+    assert rc == 0 and out == expect
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--group", SL2Z, "--samples", "0"],
+    ["embed", "--group", SL2Z, "--samples", "-3"],
+    ["embed", "--group", SL2Z, "--ball", "-1"],
+    ["check-proper", "--group", SL2Z, "--C", "1.0", "--max-len", "-1"],
+])
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    rc, out = run(argv, capsys)
+    assert rc == 1 and out.count("\n") == 1
+    assert json.loads(out)["result"]["code"] == "Usage"
+
+
 def test_check_integral_golden(capsys):
     expect = ('{"diagnostics": [], "result": {"integral": true, '
               '"trace_minpoly": ["-2", "1"]}, "status": "ok"}\n')

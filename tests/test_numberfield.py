@@ -30,8 +30,12 @@ def test_make_field_large_constant_term():
     with pytest.raises(ReducibleError) as exc:
         make_field([-q, 1, -q, 1])  # (x - q)(x^2 + 1)
     assert exc.value.witness == (-q, 1)
-    with pytest.raises(UnsupportedError):  # q^2 is beyond certified primality
-        make_field([q * q, 0, 1])
+    # q^2 is beyond certified primality, but a perfect square is split by
+    # its exact square root
+    assert make_field([q * q, 0, 1]).degree == 2
+    r = 10**14 + 67  # prime, and q * r is not a square
+    with pytest.raises(UnsupportedError):
+        make_field([q * r, 0, 1])
 
 
 def test_make_field_rejects_nonmonic():

@@ -97,6 +97,21 @@ def test_word_ball_growth():
     assert len(b1) == 5  # I, S, T, S^-1, T^-1
 
 
+def test_negative_max_len_refused(monkeypatch):
+    group = make_group([S, T])
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before checking max_len")
+
+    monkeypatch.setattr(pa, "enumerate_bounded", no_enumeration)
+    with pytest.raises(ValueError, match="max_len"):
+        word_ball([S, T], -1)
+    with pytest.raises(ValueError, match="max_len"):
+        word_bfs(group, -1, 1.0)
+    with pytest.raises(ValueError, match="max_len"):
+        properness_check(group, 1.0, -1)
+
+
 def test_word_bfs_is_sound():
     group = make_group([S, T])
     found = word_bfs(group, 4, 1.0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_sl2z
+from oracles import alpha_by_solve, random_sl2z
 from sl2kit import (DetNotOneError, Matrix, RankDeficientError, Rep4, alpha,
                     integral_characteristic, make_field, mat, reconstruct,
                     select_basis, verify_embedding, word_ball)
@@ -146,12 +146,19 @@ def test_basis_choice_changes_alpha_only_by_conjugacy():
         assert alpha(g, basis_a).charpoly() == alpha(g, basis_b).charpoly()
 
 
-def test_rep4_caches_and_checks():
+def test_alpha_matches_coordinate_solve():
+    rng = random.Random(59)
     basis = sl2z_basis()
     rep = Rep4(basis)
-    first = rep(T)
-    again = rep(T)
-    assert first is again
+    for _ in range(40):
+        g = random_sl2z(rng, size=6)
+        assert rep(g) == alpha(g, basis) == alpha_by_solve(g, basis)
+    # a basis and words mixing Fraction and FieldElement entries
+    k = make_field([1, 1, 1])
+    u = mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
+    basis = select_basis(word_ball([S, u], 2))
+    for g in word_ball([S, u, T], 2):
+        assert alpha(g, basis) == alpha_by_solve(g, basis)
 
 
 def test_verify_embedding_report():

@@ -73,6 +73,15 @@ def test_prime_factors_splits_composite_cofactors():
     assert _prime_factors(6 * r * q) == (2, 3, q, r)
 
 
+def test_prime_factors_takes_square_roots_above_the_bound():
+    q = 10 ** 14 + 31
+    assert q * q > _MR_BOUND
+    assert _prime_factors(q * q) == (q,)
+    assert _prime_factors(6 * q ** 4) == (2, 3, q)
+    with pytest.raises(UnsupportedError, match=str(_MR_BOUND)):
+        _prime_factors(q ** 3)  # cubes are still refused
+
+
 def test_prime_factors_refuses_what_it_cannot_certify(monkeypatch):
     m89 = 2 ** 89 - 1  # a Mersenne prime above the Miller-Rabin bound
     assert m89 > _MR_BOUND
