@@ -31,14 +31,15 @@ it gets the entry types a Matrix product would.
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
 (rational case only).  The search space is finite because the tree bound
-caps denominators at D = prod p_k^floor(C/2), and the hyperbolic bound puts
-the numerators over D in the 4-ball a11^2 + a12^2 + a21^2 + a22^2 <
-2 cosh(C) D^2.  The search walks that ball, solves the fourth entry from
-the determinant and applies the exact predicate to the ints.  Before it
-starts, the candidate count of the enclosing cube |a_ij| <= D sqrt(2 cosh C)
-+ 1 is checked against a budget (parameter, else the SL2KIT_ENUM_BUDGET
-environment variable, else 10^7); a cube beyond float range is over any
-budget.
+2 v_p(D) < C caps denominators at D = prod p_k^(ceil(C/2) - 1), and the
+hyperbolic bound puts the numerators over D in the 4-ball a11^2 + a12^2 +
+a21^2 + a22^2 < 2 cosh(C) D^2.  The search walks that ball, solves the
+fourth entry from the determinant and applies the exact hyperbolic
+predicate to the ints; every denominator divides D, so no candidate needs
+a tree test.  Before it starts, the candidate count of the enclosing cube
+|a_ij| <= D sqrt(2 cosh C) + 1 is checked against a budget (parameter,
+else the SL2KIT_ENUM_BUDGET environment variable, else 10^7; negative is a
+usage error); a cube beyond float range is over any budget.
 
 word_bfs produces the empirical side: all distinct products of at most
 max_len generators and inverses, filtered by the same predicate, so that
@@ -398,20 +399,24 @@ class EnumerationResult(Immutable):
 
 
 def _resolve_budget(budget) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
+                 if budget is None else budget)
+    if budget < 0:
+        raise ValueError(f"the budget must be nonnegative, got {budget}")
+    return budget
 
 
 def _box_size(primes, C: float):
-    """(D, candidates): the common denominator D = prod p^floor(C/2) and the
-    size (2B+1)^3 + (2B+1)^2 of the box |a_ij| <= B = D sqrt(2 cosh C) + 1,
-    or (None, None) when B is beyond float range (then B > 10^154)."""
+    """(D, candidates): the common denominator D = prod p^(ceil(C/2) - 1),
+    as 2e < C exactly for e <= ceil(C/2) - 1, and the size (2B+1)^3 +
+    (2B+1)^2 of the box |a_ij| <= B = D sqrt(2 cosh C) + 1, or (None, None)
+    when B is beyond float range (then B > 10^154)."""
     try:
         scale = math.sqrt(2.0 * math.cosh(C))
+        e = max(math.ceil(C / 2) - 1, 0)  # C / 2 is 0 at C = 5e-324
         D = 1
         for p in primes:  # C < 711 here, so the powers stay small
-            D *= p ** int(math.floor(C / 2))
+            D *= p ** e
         B = int(D * scale) + 1
     except OverflowError:
         return None, None
@@ -457,22 +462,24 @@ def enumerate_bounded(group: MarkedGroup, C: float,
                       budget: int | None = None) -> EnumerationResult:
     """All of SL(2, Z[1/s]) with displacement profile < C, exactly.
 
-    Candidates are [[a11, a12], [a21, a22]] / D with D = prod p^floor(C/2)
-    (the tree bound).  The budget is checked against the cube
-    |a_ij| <= D*sqrt(2 cosh C) + 1; the search itself runs over the 4-ball
-    sum a_ij^2 < 2 cosh(C) D^2 (the hyperbolic bound), solves a22 from the
-    determinant, and applies the exact predicate to the integers.
+    Candidates are [[a11, a12], [a21, a22]] / D with D = prod p^(ceil(C/2)
+    - 1) (the tree bound), so each one moves every tree by less than C.
+    The budget is checked against the cube |a_ij| <= D*sqrt(2 cosh C) + 1;
+    the search itself runs over the 4-ball sum a_ij^2 < 2 cosh(C) D^2 (the
+    hyperbolic bound), solves a22 from the determinant, and applies the
+    exact predicate to the integers.
     """
     if group.ring.field is not None:
         raise UnsupportedError(
             "exact enumeration supports the rational case only")
+    if math.isnan(C):
+        raise ValueError("the bound C must be a number, not NaN")
     if not C > 0:
         raise ValueError("the bound C must be positive")
     if C == math.inf:
         raise ValueError("the bound C must be finite")
     budget = _resolve_budget(budget)
-    primes = group.ring.primes
-    D, candidates = _box_size(primes, C)
+    D, candidates = _box_size(group.ring.primes, C)
     if candidates is None:
         raise BudgetExceededError(
             f"search box holds over 10^462 candidate tuples (beyond float "
@@ -484,14 +491,13 @@ def enumerate_bounded(group: MarkedGroup, C: float,
     D2 = D * D
     bound = _HypBound(C)
     lo, hi = bound.cut(D2)
-    found = set()
+    m = math.isqrt(hi - 1)  # |a_ij| <= m in the ball
+    fr = [Fraction(n, D) for n in range(-m, m + 1)]
+    found = []
     for a11, a12, a21, a22, N in _det_solutions(D2, hi):
-        if N >= lo and not bound.decide(N, D2):
-            continue
-        k = math.gcd(a11, a12, a21, a22, D)
-        if all(t < C for t in _tree_moves(D // k, primes)):
-            found.add(_matrix((a11 // k, a12 // k, a21 // k, a22 // k,
-                               D // k)))
+        if N < lo or bound.decide(N, D2):
+            found.append(Matrix(((fr[a11 + m], fr[a12 + m]),
+                                 (fr[a21 + m], fr[a22 + m]))))
     return EnumerationResult(found, C, True)
 
 

@@ -159,7 +159,8 @@ def brute_enumerate(primes, C):
     det = 1 in Fractions.  The tree coordinates come from act and distance,
     the hyperbolic one from the Moebius action.  Returns the accepted set and
     the smallest |hyp - C| seen, so a caller can make sure no float tie
-    decided the answer."""
+    decided the answer.  The floor(C/2) grid holds the enumerator's
+    ceil(C/2) - 1 grid, so the scan does not rest on that tighter bound."""
     import math
     from sl2kit import act, base_vertex, distance, mat, tree_context
     D = 1

@@ -157,6 +157,25 @@ def test_enumerate_budget_exit_2(capsys):
     assert "over the budget of 1000" in doc["result"]["message"]
 
 
+def test_enumerate_even_bound_fits_budget(capsys):
+    # at C = 4 the trees admit denominators 2^1 only (2 v_2 < 4), so the
+    # budget cube is counted at D = 2, not 4
+    group = ('{"generators": [[["0","-1"],["1","0"]],[["1","1"],["0","1"]],'
+             '[["2","0"],["0","1/2"]]]}')
+    rc, out = run(["enumerate", "--group", group, "--C", "4",
+                   "--budget", "100000"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"]["count"] == 2268
+
+
+def test_enumerate_nan_bound_is_usage_error(capsys):
+    rc, out = run(["enumerate", "--group", SL2Z, "--C", "nan"], capsys)
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["result"]["code"] == "Usage"
+    assert "NaN" in doc["result"]["message"]
+
+
 def strict_json(out):
     """Parse one envelope, refusing the non-JSON tokens Infinity and NaN."""
     def refuse(token):
@@ -288,6 +307,9 @@ def test_embed_field_golden(capsys):
     ["embed", "--group", SL2Z, "--samples", "-3"],
     ["embed", "--group", SL2Z, "--ball", "-1"],
     ["check-proper", "--group", SL2Z, "--C", "1.0", "--max-len", "-1"],
+    ["enumerate", "--group", SL2Z, "--C", "1.0", "--budget", "-1"],
+    ["check-proper", "--group", SL2Z, "--C", "1.0", "--max-len", "2",
+     "--budget", "-1"],
 ])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     rc, out = run(argv, capsys)

@@ -186,12 +186,24 @@ def test_enumerate_tree_bound_controls_denominators():
             assert tree_move < c
 
 
-def test_enumerate_rejects_bad_inputs():
+def test_enumerate_rejects_bad_inputs(monkeypatch):
     group = make_group([S, T])
     with pytest.raises(ValueError):
         enumerate_bounded(group, 0)
     with pytest.raises(ValueError):
         enumerate_bounded(group, -1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        enumerate_bounded(group, math.nan)
+
+    def no_box(*args):
+        raise AssertionError("sized the search box before the budget check")
+
+    monkeypatch.setattr(pa, "_box_size", no_box)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_bounded(group, 1.0, budget=-1)
+    monkeypatch.setenv("SL2KIT_ENUM_BUDGET", "-5")
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_bounded(group, 1.0)
     k = make_field([1, 0, 1])
     gi = make_group([mat([[k.one(), k.gamma()], [k.zero(), k.one()]])],
                     field=k)
@@ -292,7 +304,7 @@ def test_word_bfs_matches_filtered_ball():
 
 
 @pytest.mark.parametrize("s, c", [(1, 3.0), (2, 2.0), (2, 2.5), (3, 2.5),
-                                  (6, 2.2)])
+                                  (6, 2.2), (3, 2.0), (6, 2.0), (2, 4.0)])
 def test_enumerate_matches_brute_force(s, c):
     primes = {1: (), 2: (2,), 3: (3,), 6: (2, 3)}[s]
     gens = [S, T] + [mat([[p, 0], [0, Fraction(1, p)]]) for p in primes]
