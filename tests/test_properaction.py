@@ -149,6 +149,8 @@ def test_enumerate_excludes_large_tree_moves():
     group = make_group([S, T, mat([[2, 0], [0, HALF]])])
     res = enumerate_bounded(group, 2.0)
     assert mat([[2, 0], [0, HALF]]) not in res.elements
+    # C / 2 underflows to 0 at the least subnormal C; D must stay 1
+    assert len(enumerate_bounded(group, 5e-324).elements) == 4  # +-I, +-S
 
 
 def test_enumerate_completeness_against_integer_scan():
