@@ -124,21 +124,14 @@ class Matrix(Immutable):
         return t
 
     def det(self):
+        """Closed forms for n <= 2, else the pivot product of _row_reduce."""
         r = self.rows
         if self.n == 1:
             return r[0][0]
         if self.n == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        # cofactor expansion along the first row; n <= 4 keeps this cheap
-        total = None
-        for j in range(self.n):
-            minor = Matrix(tuple(tuple(row[k] for k in range(self.n) if k != j)
-                                 for row in r[1:]))
-            term = r[0][j] * minor.det()
-            if j % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        return total
+        pivots, det = _row_reduce([list(row) for row in r], self.n)
+        return det if len(pivots) == self.n else Fraction(0)
 
     def inverse(self) -> "Matrix":
         if self.n == 2:
@@ -150,7 +143,7 @@ class Matrix(Immutable):
         n = self.n
         aug = [list(self.rows[i]) + [Fraction(1) if i == j else Fraction(0)
                                      for j in range(n)] for i in range(n)]
-        if len(_row_reduce(aug, n)) < n:
+        if len(_row_reduce(aug, n)[0]) < n:
             raise SingularError("matrix is singular")
         return Matrix(tuple(tuple(row[n:]) for row in aug))
 
@@ -202,10 +195,13 @@ def _row_reduce(aug, ncols):
     ``aug`` is a list of row lists (extra columns ride along).  Pivoting is
     deterministic: columns left to right, the first usable row, each pivot row
     scaled to a leading one and cleared above and below.  Returns the pivot
-    columns; row i of the result holds the pivot of column ``pivots[i]``.
+    columns (row i of the result holds the pivot of column ``pivots[i]``) and
+    the pivot product signed by the row swaps: the determinant of a square
+    block with a pivot in every column.
     """
     m = len(aug)
     pivots = []
+    det = 1
     for col in range(ncols):
         row = len(pivots)
         if row == m:
@@ -213,15 +209,18 @@ def _row_reduce(aug, ncols):
         pr = next((r for r in range(row, m) if aug[r][col] != 0), None)
         if pr is None:
             continue
-        aug[row], aug[pr] = aug[pr], aug[row]
+        if pr != row:
+            aug[row], aug[pr] = aug[pr], aug[row]
+            det = -det
         pv = aug[row][col]
+        det = det * pv
         aug[row] = [x / pv for x in aug[row]]
         for r in range(m):
             if r != row and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivots.append(col)
-    return pivots
+    return pivots, det
 
 
 def linear_solve(rows, rhs):
@@ -235,7 +234,7 @@ def linear_solve(rows, rhs):
     m = len(rows)
     n = len(rows[0]) if m else 0
     aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = _row_reduce(aug, n)
+    pivots, _ = _row_reduce(aug, n)
     if any(aug[r][n] != 0 for r in range(len(pivots), m)):
         return None
     zero = rhs[0] - rhs[0] if m else 0
@@ -248,4 +247,4 @@ def linear_solve(rows, rhs):
 def rank(rows) -> int:
     """Rank of a rectangular exact matrix, by Gaussian elimination."""
     work = [list(r) for r in rows]
-    return len(_row_reduce(work, len(work[0]) if work else 0))
+    return len(_row_reduce(work, len(work[0]) if work else 0)[0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bttree import canonicalize
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, UnsupportedError
 from .hyperbolic import HPoint
 from .matrices import Matrix, mat
 from .numberfield import FieldElement, NumberField, make_field
@@ -111,6 +111,10 @@ def parse_vertex(obj, ctx):
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("vertex exponent n must be an integer")
     b = ctx.coerce(parse_scalar(obj["b"], ctx.field))
+    bits = abs(n) * (ctx.p - 1).bit_length()
+    if bits > 1 << 14:  # canonicalizing p**n takes time quadratic in |n|
+        raise UnsupportedError(f"vertex exponent n = {n} is out of range: "
+                               f"|n| * ceil(log2 p) = {bits} exceeds 2**14")
     p_pow_n = Fraction(ctx.p) ** n
     return canonicalize(mat([[p_pow_n, b], [0, 1]]), ctx)
 

@@ -7,12 +7,12 @@ anywhere in this module.
 The classification pipeline: a candidate pair is first checked independent
 (make_subalgebra), then normalize_basis replaces it by (x1, x2) with
 [x1, x2] = x1, which forces x2 to have determinant -1/4 and hence exact
-eigenvalues +-1/2.  The eigenvector matrix conjugates the span into
-upper-triangular form; both column orders are tried and the first one that
-upper-triangularizes wins.  Commuting pairs cannot be independent inside
-sl2 (the centralizer of a nonscalar matrix meets the traceless subspace in
-a line), so commutativity surfaces either as IndependenceFailure at
-construction or as Commutative with the forced scalar witness.
+eigenvalues +-1/2.  The eigenvector matrix (v- | v+) conjugates the span
+into upper-triangular form, since x1 kills the -1/2 eigenvector v- of x2.
+Commuting pairs cannot be independent inside sl2 (the centralizer of a
+nonscalar matrix meets the traceless subspace in a line), so commutativity
+surfaces either as IndependenceFailure at construction or as Commutative
+with the forced scalar witness.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import (CommutativeError, DegenerateInputError, DetNotOneError,
                      GIsInHError, IndependenceFailureError,
-                     NotASubalgebraError, SingularError)
+                     NotASubalgebraError)
 from .matrices import Immutable, Matrix, linear_solve, mat
 
 
@@ -38,16 +38,13 @@ def _flat(m: Matrix):
 
 def _dependence_scalar(y1: Matrix, y2: Matrix):
     """Scalar c with y2 == c*y1, or None when the pair is independent.
-    A zero y1 reports c = 0 (any pair containing zero is dependent)."""
+    A zero y1 reports c = 0 (any pair containing zero is dependent); else
+    c = y2[k] / y1[k] at the first nonzero entry k of y1, by linear_solve."""
     a = _flat(y1)
-    b = _flat(y2)
-    pivot = next((k for k in range(4) if a[k] != 0), None)
-    if pivot is None:
+    if all(x == 0 for x in a):
         return Fraction(0)
-    c = b[pivot] / a[pivot]
-    if all(b[k] == c * a[k] for k in range(4)):
-        return c
-    return None
+    sol = linear_solve([[x] for x in a], _flat(y2))
+    return None if sol is None else sol[0]
 
 
 def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -142,34 +139,26 @@ def _eigenvector(m: Matrix, eigenvalue):
     return (v[0] / lead, v[1] / lead)
 
 
-def _is_upper(m: Matrix) -> bool:
-    return m[1, 0] == 0
-
-
 def classify_2dim(s: Subalgebra2) -> ClassificationOutcome:
     """Conjugator taking the span into upper-triangular form.
 
     After normalization x2 has trace zero and determinant -1/4, so its
     eigenvalues are exactly -1/2 and +1/2 and the eigenvectors live in the
-    input field.  Both eigenvector column orders are tried; the first whose
-    conjugation upper-triangularizes the input basis is returned.
+    input field.  q = (v- | v+) works: [x1, x2] = x1 gives
+    x2(x1 v) = (lambda - 1) x1 v, and -3/2 is no eigenvalue, so x1 v- = 0
+    and v- is a common eigenvector of the span.  The result is checked.
     """
     x1, x2 = normalize_basis(s)
     if x2.det() != Fraction(-1, 4):
         raise ArithmeticError("normalized x2 must have determinant -1/4")
     half = Fraction(1, 2)
-    v_minus = _eigenvector(x2, -half)
-    v_plus = _eigenvector(x2, half)
-    for cols in ((v_minus, v_plus), (v_plus, v_minus)):
-        q = Matrix(((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
-        try:
-            q_inv = q.inverse()
-        except SingularError:
-            continue
-        if all(_is_upper(q_inv * y * q) for y in (s.y1, s.y2, x1, x2)):
-            return ClassificationOutcome(q, "upper-triangular")
-    raise ArithmeticError("no eigenvector ordering upper-triangularized "
-                          "the span")
+    (a, c), (b, d) = _eigenvector(x2, -half), _eigenvector(x2, half)
+    q = Matrix(((a, b), (c, d)))
+    q_inv = q.inverse()
+    if any((q_inv * y * q)[1, 0] != 0 for y in (s.y1, s.y2, x1, x2)):
+        raise ArithmeticError("the eigenvector conjugator did not "
+                              "upper-triangularize the span")
+    return ClassificationOutcome(q, "upper-triangular")
 
 
 def normalizes_torus(g: Matrix) -> bool:

@@ -82,10 +82,10 @@ def select_basis(words) -> TraceBasis:
         if not isinstance(g, Matrix) or g.n != 2:
             raise ValueError("stream must yield 2x2 matrices")
         candidate = chosen + [g]
-        if rank(_gram_rows(candidate)) == len(candidate):
+        rows = _gram_rows(candidate)
+        if rank(rows) == len(candidate):
             chosen = candidate
             if len(chosen) == 4:
-                rows = _gram_rows(chosen)
                 return TraceBasis(chosen, Matrix(tuple(tuple(r) for r in rows)))
     raise RankDeficientError(
         f"stream exhausted with trace rank {len(chosen)} < 4")
@@ -149,19 +149,20 @@ def verify_embedding(rep: Rep4, samples) -> dict:
     (identity image only for the identity, plus full reconstruction through
     the probe), the characteristic-polynomial square identity, determinant
     one, and per-element integrality of the 4x4 entries.  Failures are
-    collected in the report, not raised.
+    collected in the report, not raised.  Each sample is mapped once, so
+    n samples take 2n - 1 calls of rep.
     """
     samples = list(samples)
+    images = [rep(g) for g in samples]
     failures = []
     pairs = 0
-    for a, b in zip(samples, samples[1:]):
+    for a, b, ma, mb in zip(samples, samples[1:], images, images[1:]):
         pairs += 1
-        if rep(a * b) != rep(a) * rep(b):
+        if rep(a * b) != ma * mb:
             failures.append(f"homomorphism: {a!r} * {b!r}")
     identity_images = 0
     entry_integrality = []
-    for g in samples:
-        m = rep(g)
+    for g, m in zip(samples, images):
         if m.is_identity():
             identity_images += 1
             if not g.is_identity():

@@ -122,6 +122,27 @@ def test_tree_act_golden(capsys):
     assert json.loads(out)["result"]["vertex"] == {"b": "1", "n": 1}
 
 
+@pytest.mark.parametrize("n", [10**8, -10**8])
+@pytest.mark.parametrize("flags", [
+    ["tree-dist", "--p", "2", "--v", '{"n": 0, "b": "0"}', "--u"],
+    ["tree-act", "--p", "2", "--g", '[["1","1"],["0","1"]]', "--vertex"],
+    ["tree-ball", "--p", "2", "--radius", "1", "--center"],
+])
+def test_vertex_exponent_out_of_range_is_unsupported(capsys, flags, n):
+    rc, out = run(flags + [json.dumps({"n": n, "b": "1"})], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["result"]["code"] == "Unsupported"
+    assert "2**14" in doc["result"]["message"]
+
+
+def test_vertex_exponent_at_the_bound(capsys):
+    rc, out = run(["tree-dist", "--p", "2", "--u", '{"n": 16384, "b": "0"}',
+                   "--v", '{"n": 0, "b": "0"}'], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"]["distance"] == 16384
+
+
 def test_hyp_dist_golden(capsys):
     expect = ('{"diagnostics": [], "result": {"distance": 1.38629436112}, '
               '"status": "ok"}\n')

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inverse_by_adjugate, pivot_columns, rank_by_minors
+from oracles import (det_leibniz, inverse_by_adjugate, pivot_columns,
+                     rank_by_minors)
 from sl2kit import (ArchimedeanEmbedding, Factor, HPoint, Matrix,
                     PropernessReport, SingularError, base_vertex,
                     classify_2dim, displacement, enumerate_bounded, extend,
@@ -49,25 +50,36 @@ def test_det_examples():
 
 
 def test_det_4x4_vs_permutation_expansion():
-    import itertools
     rng = random.Random(11)
-    for _ in range(20):
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(4)]
-                for _ in range(4)]
-        m = mat(rows)
-        total = Fraction(0)
-        for perm in itertools.permutations(range(4)):
-            sign = 1
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = Fraction(sign)
-            for i in range(4):
-                term *= rows[i][perm[i]]
-            total += term
-        assert m.det() == total
+    k = make_field([1, 0, 1])
 
+    def ints(n):
+        return [[Fraction(rng.randint(-4, 4)) for _ in range(n)]
+                for _ in range(n)]
+
+    def combination(rows):
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        return [sum((c * x for c, x in zip(coeffs, col)), Fraction(0))
+                for col in zip(*rows)]
+
+    def mixed(x):
+        return k.element([x, rng.randint(-2, 2)]) if rng.random() < 0.5 else x
+
+    cases = [ints(4) for _ in range(20)] + [ints(3) for _ in range(20)]
+    cases.append([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # two row swaps
+    for rank_ in (2, 3):
+        for _ in range(10):
+            rows = ints(4)[:rank_]
+            while len(rows) < 4:
+                rows.insert(rng.randrange(len(rows) + 1), combination(rows))
+            assert rank_by_minors(rows) == rank_
+            cases.append(rows)
+    for _ in range(15):
+        cases.append([[mixed(x) for x in row] for row in ints(4)])
+    for rows in cases:
+        expect = det_leibniz(rows)
+        assert mat(rows).det() == expect, rows
+        assert (expect == 0) == (rank_by_minors(rows) < len(rows))
 
 def test_inverse_roundtrip():
     rng = random.Random(5)

@@ -172,3 +172,36 @@ def test_verify_embedding_report():
     assert report["failures"] == []
     assert report["all_entries_integral"]
     assert all(report["entry_integrality"])
+
+
+class DoubledRep(Rep4):
+    """alpha, doubled on one chosen sample; counts its calls."""
+
+    def __init__(self, basis, target):
+        super().__init__(basis)
+        self.target = target
+        self.calls = 0
+
+    def __call__(self, g):
+        self.calls += 1
+        m = super().__call__(g)
+        return m.scale(2) if g == self.target else m
+
+
+def test_verify_embedding_reports_failures():
+    samples = [T, S, T * T, S * T]
+    rep = DoubledRep(sl2z_basis(), S)
+    report = verify_embedding(rep, samples)
+    assert rep.calls == 2 * len(samples) - 1
+    assert report["failures"] == [
+        f"homomorphism: {T!r} * {S!r}",
+        f"homomorphism: {S!r} * {T * T!r}",
+        f"probe: reconstruction mismatch for {S!r}",
+        f"characteristic square identity: {S!r}",
+        f"determinant: {S!r}",
+    ]
+    assert not report["ok"]
+    assert report["homomorphism_pairs"] == 3
+    assert report["identity_images"] == 0
+    assert report["entry_integrality"] == [True] * 4
+    assert report["all_entries_integral"]
