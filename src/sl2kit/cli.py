@@ -40,23 +40,20 @@ from .traceembed import Rep4, integral_characteristic, select_basis, \
 from .valuations import INF, PAdicValuation, extend
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the published contract
-    reserves 2 for domain errors, so usage failures are rerouted."""
+    reserves 2 for domain errors, so usage failures are rerouted to the
+    ValueError that main reports as a usage error."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"{what} is not valid JSON: {exc}") from None
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _load_element(text: str, field):
@@ -68,47 +65,40 @@ def _load_element(text: str, field):
     return parse_scalar(doc, field)
 
 
-def _load_field(args):
-    if getattr(args, "minpoly", None) is None:
-        return None
-    return parse_field(_load_json(args.minpoly, "--minpoly"))
-
-
 def _matrix_sort_key(m: Matrix):
     return tuple(x for row in m.rows for x in row)
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (result, diagnostics)
+# handlers: each returns (result, diagnostics); args.field is the parsed
+# --minpoly (None without one)
 # ---------------------------------------------------------------------------
 
 def _cmd_valuate(args):
-    field = _load_field(args)
-    val = PAdicValuation(args.p) if field is None else extend(args.p, field)
-    x = _load_element(args.x, field)
+    val = PAdicValuation(args.p) if args.field is None else \
+        extend(args.p, args.field)
+    x = _load_element(args.x, args.field)
     v = val(x)
     return {"value": "inf" if v == INF else int(v)}, []
 
 
 def _cmd_tree_dist(args):
-    field = _load_field(args)
-    ctx = tree_context(args.p, field)
+    ctx = tree_context(args.p, args.field)
     if args.g is not None:
         if args.u is not None or args.v is not None:
-            raise _UsageError("give either --g or the pair --u/--v")
-        g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
+            raise ValueError("give either --g or the pair --u/--v")
+        g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
         v0 = base_vertex(ctx)
         return {"distance": distance(v0, act(g, v0))}, []
     if args.u is None or args.v is None:
-        raise _UsageError("need --g, or both --u and --v")
+        raise ValueError("need --g, or both --u and --v")
     u = parse_vertex(_load_json(args.u, "--u"), ctx)
     v = parse_vertex(_load_json(args.v, "--v"), ctx)
     return {"distance": distance(u, v)}, []
 
 
 def _cmd_tree_ball(args):
-    field = _load_field(args)
-    ctx = tree_context(args.p, field)
+    ctx = tree_context(args.p, args.field)
     center = base_vertex(ctx) if args.center is None else \
         parse_vertex(_load_json(args.center, "--center"), ctx)
     vertices = ball(center, args.radius)
@@ -118,9 +108,8 @@ def _cmd_tree_ball(args):
 
 
 def _cmd_tree_act(args):
-    field = _load_field(args)
-    ctx = tree_context(args.p, field)
-    g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
+    ctx = tree_context(args.p, args.field)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
     v = base_vertex(ctx) if args.vertex is None else \
         parse_vertex(_load_json(args.vertex, "--vertex"), ctx)
     return {"vertex": encode_vertex(act(g, v))}, []
@@ -133,12 +122,11 @@ def _cmd_hyp_dist(args):
 
 
 def _cmd_displacement(args):
-    field = _load_field(args)
-    g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
     if args.group is not None:
         group = parse_group(_load_json(args.group, "--group"))
     else:
-        group = make_group([g], field)
+        group = make_group([g], args.field)
     profile = displacement(g, group)
     return {"primes": list(group.ring.primes),
             "trees": list(profile.trees),
@@ -189,7 +177,7 @@ def _random_words(generators, count, max_len, seed):
 
 def _cmd_embed(args):
     if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
+        raise ValueError("--samples must be at least 1")
     group = parse_group(_load_json(args.group, "--group"))
     basis = select_basis(word_ball(group.generators, args.ball))
     rep = Rep4(basis)
@@ -206,8 +194,7 @@ def _cmd_embed(args):
 
 
 def _cmd_check_integral(args):
-    field = _load_field(args)
-    g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
     mp = minimal_polynomial(g.trace())
     return {"integral": integral_characteristic(g),
             "trace_minpoly": [encode_rational(c) for c in mp]}, []
@@ -218,13 +205,13 @@ def _cmd_classify(args):
     field = None
     if isinstance(doc, dict):
         if set(doc) - {"minpoly", "basis"} or "basis" not in doc:
-            raise _UsageError('--basis document is {"minpoly"?: [...], '
+            raise ValueError('--basis document is {"minpoly"?: [...], '
                               '"basis": [matrix, matrix]}')
         if "minpoly" in doc:
             field = parse_field(doc["minpoly"])
         doc = doc["basis"]
     if not isinstance(doc, list) or len(doc) != 2:
-        raise _UsageError("--basis needs exactly two matrices")
+        raise ValueError("--basis needs exactly two matrices")
     y1 = parse_matrix(doc[0], field, size=2)
     y2 = parse_matrix(doc[1], field, size=2)
     outcome = classify_2dim(make_subalgebra(y1, y2))
@@ -238,14 +225,13 @@ def _cmd_classify(args):
 
 
 def _cmd_normalizer(args):
-    field = _load_field(args)
-    g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
     test = normalizes_torus if args.which == "torus" else normalizes_unipotent
     return {"which": args.which, "normalizes": test(g)}, []
 
 
 def _cmd_factor_maximal(args):
-    field = _load_field(args)
+    field = args.field
     g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
     target = parse_matrix(_load_json(args.target, "--target"), field, size=2)
     word = maximality_factor(g, target)
@@ -271,8 +257,6 @@ _HANDLERS = {
     "factor-maximal": _cmd_factor_maximal,
 }
 
-_MINPOLY_HELP = ('field declaration as JSON integer array [c0, ..., 1], '
-                 'constant term first')
 _MATRIX_HELP = ('matrix as JSON nested array of rationals ("3/4") or '
                 'coefficient arrays when a field is declared')
 _GROUP_HELP = ('group as JSON {"minpoly"?: [...], "generators": '
@@ -287,31 +271,40 @@ def build_parser() -> argparse.ArgumentParser:
                                  "enumeration, trace embedding, subalgebra "
                                  "classification.")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # flags shared by several subcommands, declared once as parent parsers
+    prime = _Parser(add_help=False)
+    prime.add_argument("--p", type=int, required=True, help="prime")
+    field = _Parser(add_help=False)
+    field.add_argument("--minpoly",
+                       help="field declaration as JSON integer array "
+                            "[c0, ..., 1], constant term first")
+    bounded = _Parser(add_help=False)
+    bounded.add_argument("--group", required=True, help=_GROUP_HELP)
+    bounded.add_argument("--C", type=float, required=True, help="strict bound")
+    bounded.add_argument("--budget", type=int,
+                         help=f"candidate cap (default: ${BUDGET_ENV_VAR} "
+                              f"or 10^7)")
 
-    p = sub.add_parser("valuate", help="discrete valuation of one element")
-    p.add_argument("--p", type=int, required=True, help="prime")
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
+    p = sub.add_parser("valuate", parents=[prime, field],
+                       help="discrete valuation of one element")
     p.add_argument("--x", required=True,
                    help='element: rational like 9/2, or JSON array of '
                         'rational strings when --minpoly is given')
 
-    p = sub.add_parser("tree-dist", help="tree distance between vertices")
-    p.add_argument("--p", type=int, required=True, help="prime")
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
+    p = sub.add_parser("tree-dist", parents=[prime, field],
+                       help="tree distance between vertices")
     p.add_argument("--g", help=_MATRIX_HELP + "; distance from the base "
                                               "vertex to its image")
     p.add_argument("--u", help=_VERTEX_HELP)
     p.add_argument("--v", help=_VERTEX_HELP)
 
-    p = sub.add_parser("tree-ball", help="all vertices within a radius")
-    p.add_argument("--p", type=int, required=True, help="prime")
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
+    p = sub.add_parser("tree-ball", parents=[prime, field],
+                       help="all vertices within a radius")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", help=_VERTEX_HELP + " (default: base vertex)")
 
-    p = sub.add_parser("tree-act", help="image of a vertex under a matrix")
-    p.add_argument("--p", type=int, required=True, help="prime")
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
+    p = sub.add_parser("tree-act", parents=[prime, field],
+                       help="image of a vertex under a matrix")
     p.add_argument("--g", required=True, help=_MATRIX_HELP)
     p.add_argument("--vertex", help=_VERTEX_HELP + " (default: base vertex)")
 
@@ -321,29 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True,
                    help='point as JSON {"z": [re, im], "t": t}')
 
-    p = sub.add_parser("displacement",
+    p = sub.add_parser("displacement", parents=[field],
                        help="per-prime tree and hyperbolic displacement")
     p.add_argument("--g", required=True, help=_MATRIX_HELP)
     p.add_argument("--group", help=_GROUP_HELP +
                                     " (default: the group marked by g alone)")
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
 
-    p = sub.add_parser("enumerate",
-                       help="all group elements with displacement below C")
-    p.add_argument("--group", required=True, help=_GROUP_HELP)
-    p.add_argument("--C", type=float, required=True, help="strict bound")
-    p.add_argument("--budget", type=int,
-                   help=f"candidate cap (default: ${BUDGET_ENV_VAR} or 10^7)")
+    sub.add_parser("enumerate", parents=[bounded],
+                   help="all group elements with displacement below C")
 
-    p = sub.add_parser("check-proper",
+    p = sub.add_parser("check-proper", parents=[bounded],
                        help="certify word-ball elements against the "
                             "enumerated bounded set (exit 3 on violation)")
-    p.add_argument("--group", required=True, help=_GROUP_HELP)
-    p.add_argument("--C", type=float, required=True, help="strict bound")
     p.add_argument("--max-len", type=int, required=True,
                    help="word length for the empirical ball")
-    p.add_argument("--budget", type=int,
-                   help=f"candidate cap (default: ${BUDGET_ENV_VAR} or 10^7)")
 
     p = sub.add_parser("embed",
                        help="4x4 trace-functional representation and checks")
@@ -355,10 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled words")
 
-    p = sub.add_parser("check-integral",
+    p = sub.add_parser("check-integral", parents=[field],
                        help="is the characteristic polynomial integral?")
     p.add_argument("--g", required=True, help=_MATRIX_HELP)
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
 
     p = sub.add_parser("classify",
                        help="conjugate a 2-dimensional subalgebra of sl2 "
@@ -367,20 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON [matrix, matrix] or {"minpoly"?: [...], '
                         '"basis": [matrix, matrix]}')
 
-    p = sub.add_parser("normalizer",
+    p = sub.add_parser("normalizer", parents=[field],
                        help="does g normalize the torus or unipotent line?")
     p.add_argument("--which", choices=("torus", "unipotent"), required=True)
     p.add_argument("--g", required=True, help=_MATRIX_HELP)
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
 
-    p = sub.add_parser("factor-maximal",
+    p = sub.add_parser("factor-maximal", parents=[field],
                        help="factor a target over the upper-triangular "
                             "subgroup and one outside element")
     p.add_argument("--g", required=True,
                    help=_MATRIX_HELP + " (must have nonzero lower-left "
                                        "entry)")
     p.add_argument("--target", required=True, help=_MATRIX_HELP)
-    p.add_argument("--minpoly", help=_MINPOLY_HELP)
 
     return parser
 
@@ -414,12 +395,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a command is required (see --help)")
-        handler = _HANDLERS[args.command]
-        result, diagnostics = handler(args)
-    except _UsageError as exc:
-        _emit("error", {"code": "Usage", "message": str(exc)}, [])
-        return 1
+            raise ValueError("a command is required (see --help)")
+        minpoly = getattr(args, "minpoly", None)
+        args.field = None if minpoly is None else \
+            parse_field(_load_json(minpoly, "--minpoly"))
+        result, diagnostics = _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         _emit("error", {"code": "Usage", "message": str(exc)}, [])
         return 1

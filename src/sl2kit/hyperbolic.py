@@ -12,6 +12,10 @@ and the distance is arccosh(1 + (|z1 - z2|^2 + (t1 - t2)^2) / (2 t1 t2)).
 The displacement of the basepoint (0, 1) under g has the closed form
 arccosh((sum of |g_ij|^2) / 2); the halving makes the identity displace by 0,
 and the Moebius formulas above serve as the independent oracle in the tests.
+displacement_hyp is the checked form (2x2, determinant 1 within 1e-9 in
+floats); its unchecked core _displacement_hyp serves callers that proved
+determinant 1 exactly.  Both refuse a value beyond float range with
+UnsupportedError.
 
 Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, UnsupportedError
 from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField
 
@@ -59,7 +63,7 @@ def _refine_root(coeffs, z: complex) -> complex:
 def _horner(coeffs, z: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
-        acc = acc * z + c
+        acc = acc * z + complex(c)
     return acc
 
 
@@ -95,10 +99,7 @@ class ArchimedeanEmbedding(Immutable):
                 if x.is_rational:
                     return complex(x.as_fraction())
                 raise ValueError("element does not belong to the embedded field")
-            acc = 0j
-            for c in reversed(x.coeffs):
-                acc = acc * self.root + complex(c)
-            return acc
+            return _horner(x.coeffs, self.root)
         if isinstance(x, (int, Fraction)):
             return complex(x)
         raise TypeError(f"cannot embed {type(x).__name__}")
@@ -146,11 +147,15 @@ def _complex_entries(g):
     return complex(a), complex(b), complex(c), complex(d)
 
 
+def _check_det_one(a, b, c, d) -> None:
+    if abs(a * d - b * c - 1) > 1e-9:
+        raise ValueError("matrix must have determinant 1 (within 1e-9)")
+
+
 def mobius_act(g, p: HPoint) -> HPoint:
     """Action of a determinant-1 complex matrix ((a,b),(c,d)) on (z, t)."""
     a, b, c, d = _complex_entries(g)
-    if abs(a * d - b * c - 1) > 1e-9:
-        raise ValueError("matrix must have determinant 1 (within 1e-9)")
+    _check_det_one(a, b, c, d)
     cz_d = c * p.z + d
     denom = abs(cz_d) ** 2 + abs(c) ** 2 * p.t ** 2
     z_new = ((a * p.z + b) * cz_d.conjugate() + a * c.conjugate() * p.t ** 2) / denom
@@ -174,15 +179,35 @@ def hyp_distance(p: HPoint, q: HPoint) -> float:
 
 
 def displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None = None) -> float:
-    """Distance the basepoint (0, 1) moves under g: arccosh(sum |g_ij|^2 / 2)."""
+    """Distance the basepoint (0, 1) moves under g: arccosh(sum |g_ij|^2 / 2).
+
+    The checked entry point: g must be 2x2 and its embedded entries must
+    have determinant 1 within 1e-9 in floats, else ValueError.  The value
+    is that of _displacement_hyp, the unchecked core."""
     if g.n != 2:
         raise ValueError("expected a 2x2 matrix")
-    rows = embed_matrix(g, emb)
-    a, b = rows[0]
-    c, d = rows[1]
-    if abs(a * d - b * c - 1) > 1e-9:
-        raise ValueError("matrix must have determinant 1 (within 1e-9)")
-    s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    return _displacement_hyp(g, emb, check_det=True)
+
+
+def _displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None,
+                      check_det: bool = False) -> float:
+    """displacement_hyp for a 2x2 g whose determinant 1 the caller has
+    proved exactly, as properaction does on its kernel: no float re-check,
+    which rounding can fail when the entries are large.
+
+    An embedded entry or sum of squares beyond float range raises
+    UnsupportedError rather than OverflowError or an infinite distance."""
+    try:
+        (a, b), (c, d) = embed_matrix(g, emb)
+        if check_det:
+            _check_det_one(a, b, c, d)
+        s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise UnsupportedError(
+            "hyperbolic displacement beyond float range: an embedded entry "
+            "or the sum of the squared moduli overflows")
     return math.acosh(max(1.0, s / 2.0))
 
 

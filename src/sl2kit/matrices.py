@@ -56,14 +56,13 @@ def mat(rows) -> "Matrix":
 
 
 class Matrix(Immutable):
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
         n = len(rows)
         if n not in (1, 2, 3, 4) or any(len(r) != n for r in rows):
             raise ValueError("square matrices of size 1..4 only")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", None)
 
     @property
     def n(self) -> int:
@@ -174,11 +173,7 @@ class Matrix(Immutable):
         return self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)

@@ -22,11 +22,14 @@ no tree action.  Over Q the hyperbolic displacement is
 arccosh(N / (2 D^2)), N = a^2 + b^2 + c^2 + d^2, and hyperbolic._HypBound
 decides hyp < C as N < 2 cosh(C) D^2 exactly (float cut points, then
 decimal arithmetic at rising precision; 2 cosh C is transcendental for
-rational C > 0, so there are no ties).  Over a field, displacement_hyp of
-the Matrix decides it in floats.  A Matrix is built only for an element
-that is returned or needs displacement_hyp; a 4-bit mask beside each tuple
-(bit 2i + j for entry (i, j)) records which entries are FieldElements, so
-it gets the entry types a Matrix product would.
+rational C > 0, so there are no ties).  Over a field it is decided in
+floats by the unchecked core of hyperbolic.displacement_hyp on the Matrix:
+determinant 1 is proved exactly, so there is no float re-check to fail on
+large entries, and a value beyond float range raises UnsupportedError.  A
+Matrix is built only for an element that is returned or needs that float
+value; a 4-bit mask beside each tuple (bit 2i + j for entry (i, j)) records
+which entries are FieldElements, so it gets the entry types a Matrix
+product would.
 
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
@@ -57,8 +60,8 @@ from itertools import product
 from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
-from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_value,
-                         displacement_hyp)
+from .hyperbolic import (ArchimedeanEmbedding, _displacement_hyp, _HypBound,
+                         _hyp_value)
 from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField
 from .valuations import _int_val, _prime_factors
@@ -175,8 +178,7 @@ def _check(g: Matrix, ring: Ring) -> int:
                     f"entry {x!r} is not in the declared field")
     D = d = _denominator(g)
     for p in ring.primes:
-        while d % p == 0:
-            d //= p
+        d //= p ** _int_val(d, p)
     if d != 1:
         raise EntryOutsideRingError(
             f"entry denominator has a prime factor outside "
@@ -190,7 +192,7 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
     trees = _tree_moves(_check(g, group.ring), group.ring.primes)
     if group.ring.field is not None:
         group.tree_contexts  # the valuation gate refuses a non-inert prime
-        return DisplacementProfile(trees, displacement_hyp(g, group.embedding))
+        return DisplacementProfile(trees, _displacement_hyp(g, group.embedding))
     (a, b, c, d, D), _ = _kernel(g, 1)
     N, D2 = a * a + b * b + c * c + d * d, D * D
     return DisplacementProfile(trees, _hyp_value(N, D2), (N, D2))
@@ -376,7 +378,7 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
                 found.add(_matrix(k))
         else:
             g = _matrix(k, mask, field)
-            if displacement_hyp(g, emb) < C:
+            if _displacement_hyp(g, emb) < C:
                 found.add(g)
     return found
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import NotAValuationError, UnsupportedError
 from .matrices import Immutable
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, _eval_int_poly
 
 INF = math.inf
 
@@ -152,16 +152,7 @@ def _int_val(n: int, p: int) -> int:
 def _frac_val(x: Fraction, p: int) -> int:
     """v_p of a nonzero Fraction; a reduced fraction has p in at most one of
     its numerator and denominator, so a positive count ends the search."""
-    num, den, v = abs(x.numerator), x.denominator, 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_val(x.numerator, p) or -_int_val(x.denominator, p)
 
 
 class PAdicValuation(Immutable):
@@ -226,10 +217,7 @@ def _factor_mod_p(f, p: int):
     if len(f) < 3:
         return None
     for r in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-        if acc == 0:
+        if _eval_int_poly(f, r) % p == 0:
             return ((-r) % p, 1)
     if len(f) == 5:
         for b in range(p):

@@ -1,9 +1,13 @@
-"""The traced benchmark wraps library names by string; each must resolve."""
+"""The traced benchmark wraps library names by string; each must resolve.
+Its CLI shim patches three names in sl2kit.cli; each must stay in use."""
 
+import argparse
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import sl2kit.cli as cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,3 +35,38 @@ def test_bench_trace_targets_resolve(monkeypatch):
             if not found:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# bench/cli_shim.py times the CLI by patching cli._Parser.parse_args,
+# replacing cli._HANDLERS and wrapping cli._emit; each must keep working.
+
+def test_cli_shim_patch_points_exist():
+    assert issubclass(cli._Parser, argparse.ArgumentParser)
+    assert "parse_args" not in vars(cli._Parser)
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(cli._HANDLERS) == set(sub.choices)
+    assert callable(cli._emit)
+
+
+def test_cli_main_reaches_the_patch_points_at_call_time(monkeypatch, capsys):
+    calls = []
+
+    def parse_args(self, *args, **kwargs):
+        calls.append("parse_args")
+        return argparse.ArgumentParser.parse_args(self, *args, **kwargs)
+
+    def handler(args):
+        calls.append("handler")
+        return {"patched": True}, []
+
+    def emit(status, result, diagnostics):
+        calls.append("emit")
+        print(status, result)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    monkeypatch.setattr(cli, "_HANDLERS", dict(cli._HANDLERS, valuate=handler))
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert cli.main(["valuate", "--p", "3", "--x", "9/2"]) == 0
+    assert calls == ["parse_args", "handler", "emit"]
+    assert capsys.readouterr().out == "ok {'patched': True}\n"

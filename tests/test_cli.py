@@ -222,6 +222,37 @@ def test_displacement_beyond_float_range(capsys):
     assert abs(result["hyp"] - 800 * math.log(10)) < 1e-6
 
 
+# g and its image over Q(i): det 1 exactly, though the float products of
+# the 10^17 entries round ad - bc to 0
+BIG_DET_ONE = '[["100000000000000001","100000000000000000"],["1","1"]]'
+BIG_DET_ONE_QI = ('[[["100000000000000001","0"],["100000000000000000","0"]],'
+                  '[["1","0"],["1","0"]]]')
+
+
+def test_field_displacement_of_large_exact_det_one(capsys):
+    rc, out = run(["displacement", "--minpoly", "[1,0,1]",
+                   "--g", BIG_DET_ONE_QI], capsys)
+    assert rc == 0
+    field_hyp = strict_json(out)["result"]["hyp"]
+    rc, out = run(["displacement", "--g", BIG_DET_ONE], capsys)
+    assert rc == 0
+    assert field_hyp == strict_json(out)["result"]["hyp"] == 78.9810403424
+
+
+X_BIG = 13 * 10 ** 153  # X^2 fits a float, 2 X^2 does not
+
+
+@pytest.mark.parametrize("rows", [[[X_BIG, X_BIG - 1], [1, 1]],
+                                  [[1, 10 ** 160], [0, 1]],
+                                  [[1, 10 ** 400], [0, 1]]])
+def test_field_displacement_beyond_float_range_is_unsupported(capsys, rows):
+    g = json.dumps([[[str(x), "0"] for x in row] for row in rows])
+    rc, out = run(["displacement", "--minpoly", "[1,0,1]", "--g", g], capsys)
+    assert rc == 2
+    assert out.count("\n") == 1 and "Infinity" not in out
+    assert strict_json(out)["result"]["code"] == "Unsupported"
+
+
 @pytest.mark.parametrize("x, y, expect", [
     ({"z": [1e308, 0], "t": 1}, {"z": [-1e308, 0], "t": 1},
      2 * (math.log(2) + 308 * math.log(10))),
@@ -399,6 +430,54 @@ def test_malformed_json_exit_1(capsys):
     rc, out = run(["tree-dist", "--p", "2", "--g", "[[not json"], capsys)
     assert rc == 1
     assert json.loads(out)["status"] == "error"
+
+
+# each subcommand called with no flags, as the parser reported it before
+# the shared flags moved into parent parsers
+NO_FLAGS_MESSAGES = {
+    "valuate": "--p, --x",
+    "tree-dist": "--p",
+    "tree-ball": "--p, --radius",
+    "tree-act": "--p, --g",
+    "hyp-dist": "--x, --y",
+    "displacement": "--g",
+    "enumerate": "--group, --C",
+    "check-proper": "--group, --C, --max-len",
+    "embed": "--group",
+    "check-integral": "--g",
+    "classify": "--basis",
+    "normalizer": "--which, --g",
+    "factor-maximal": "--g, --target",
+}
+
+
+def test_no_flags_cover_every_subcommand():
+    assert set(NO_FLAGS_MESSAGES) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command, required", NO_FLAGS_MESSAGES.items())
+def test_subcommand_without_flags_is_usage_error(capsys, command, required):
+    rc, out = run([command], capsys)
+    assert rc == 1
+    assert json.loads(out)["result"] == {
+        "code": "Usage",
+        "message": f"the following arguments are required: {required}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tree-dist", "--p", "2", "--g", '[["1","1"],["0","1"]]',
+      "--u", '{"n": 0, "b": "0"}'], "give either --g or the pair --u/--v"),
+    (["valuate", "--p", "3", "--x", "abc"], "malformed rational 'abc'"),
+    (["valuate", "--p", "3", "--minpoly", "[1,0", "--x", "1"],
+     "--minpoly is not valid JSON: Expecting ',' delimiter: line 1 column 5 "
+     "(char 4)"),
+    (["check-integral", "--minpoly", '"x"', "--g", '[["1","1"],["0","1"]]'],
+     "minpoly must be an integer array [c0, ..., 1]"),
+])
+def test_usage_errors_from_every_layer(capsys, argv, message):
+    rc, out = run(argv, capsys)
+    assert rc == 1
+    assert json.loads(out)["result"] == {"code": "Usage", "message": message}
 
 
 def test_missing_required_argument_exit_1(capsys):

@@ -457,3 +457,13 @@ def test_field_path_skips_tree_action_and_matrix_products(monkeypatch):
     assert word_ball(gens, 2) == ball
     assert word_bfs(group, 2, 2.5) == words
     assert [displacement(g, group).trees for g in ball] == trees
+
+
+def test_field_word_bfs_beyond_float_range_is_unsupported():
+    # det 1 is exact on the ints; only the float image of 10^400 overflows
+    far = mat([[QI.one(), QI.gamma() * 10 ** 400], [QI.zero(), QI.one()]])
+    group = make_group([far], QI)
+    with pytest.raises(UnsupportedError):
+        word_bfs(group, 1, 5.0)
+    with pytest.raises(UnsupportedError):
+        displacement(far, group)
