@@ -206,7 +206,7 @@ def _cmd_classify(args):
     if isinstance(doc, dict):
         if set(doc) - {"minpoly", "basis"} or "basis" not in doc:
             raise ValueError('--basis document is {"minpoly"?: [...], '
-                              '"basis": [matrix, matrix]}')
+                             '"basis": [matrix, matrix]}')
         if "minpoly" in doc:
             field = parse_field(doc["minpoly"])
         doc = doc["basis"]
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounded.add_argument("--C", type=float, required=True, help="strict bound")
     bounded.add_argument("--budget", type=int,
                          help=f"candidate cap (default: ${BUDGET_ENV_VAR} "
-                              f"or 10^7)")
+                              "or 10^7)")
 
     p = sub.add_parser("valuate", parents=[prime, field],
                        help="discrete valuation of one element")

@@ -222,8 +222,8 @@ def test_displacement_beyond_float_range(capsys):
     assert abs(result["hyp"] - 800 * math.log(10)) < 1e-6
 
 
-# g and its image over Q(i): det 1 exactly, though the float products of
-# the 10^17 entries round ad - bc to 0
+# g over Q and the same matrix over Q(i): det 1 exactly, though the float
+# products of the 10^17 entries round ad - bc to 0
 BIG_DET_ONE = '[["100000000000000001","100000000000000000"],["1","1"]]'
 BIG_DET_ONE_QI = ('[[["100000000000000001","0"],["100000000000000000","0"]],'
                   '[["1","0"],["1","0"]]]')
