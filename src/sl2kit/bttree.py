@@ -51,11 +51,7 @@ class TreeContext(Immutable):
         field = valuation.field if isinstance(valuation, ExtendedValuation) else None
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_reps", None)
-        object.__setattr__(self, "_hash", hash((self.p, field.minpoly if field else None)))
-
-    @property
-    def residue_size(self) -> int:
-        return self.valuation.residue_size
+        object.__setattr__(self, "_hash", hash((self.p, field)))
 
     def residue_reps(self):
         """Representatives of the residue field: 0..p-1, coefficientwise in
@@ -95,11 +91,7 @@ class TreeContext(Immutable):
             return True
         if not isinstance(other, TreeContext):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        a = self.field.minpoly if self.field else None
-        b = other.field.minpoly if other.field else None
-        return a == b
+        return (self.p, self.field) == (other.p, other.field)
 
     def __hash__(self):
         return self._hash

@@ -36,13 +36,14 @@ arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
 (rational case only).  The search space is finite because the tree bound
 2 v_p(D) < C caps denominators at D = prod p_k^(ceil(C/2) - 1), and the
 hyperbolic bound puts the numerators over D in the 4-ball a11^2 + a12^2 +
-a21^2 + a22^2 < 2 cosh(C) D^2.  The search walks that ball, solves the
-fourth entry from the determinant and applies the exact hyperbolic
-predicate to the ints; every denominator divides D, so no candidate needs
-a tree test.  Before it starts, the candidate count of the enclosing cube
-|a_ij| <= D sqrt(2 cosh C) + 1 is checked against a budget (parameter,
-else the SL2KIT_ENUM_BUDGET environment variable, else 10^7; negative is a
-usage error); a cube beyond float range is over any budget.
+a21^2 + a22^2 < 2 cosh(C) D^2.  The determinant is a form of signature
+(2, 2), so the search pairs the points of one plane disc whose norms
+differ by 4 D^2 (_det_solutions) and applies the exact hyperbolic
+predicate once per norm; every denominator divides D, so no candidate
+needs a tree test.  Before it starts, the candidate count of the
+enclosing cube |a_ij| <= D sqrt(2 cosh C) + 1 is checked against a budget
+(parameter, else the SL2KIT_ENUM_BUDGET environment variable, else 10^7;
+negative is a usage error); a cube beyond float range is over any budget.
 
 word_bfs produces the empirical side: all distinct products of at most
 max_len generators and inverses, filtered by the same predicate, so that
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -427,37 +429,31 @@ def _box_size(primes, C: float):
 
 
 def _det_solutions(D2: int, hi: int):
-    """Integer (a11, a12, a21, a22, N) with a11 a22 - a12 a21 = D2 and
-    N = a11^2 + a12^2 + a21^2 + a22^2 < hi: the 4-ball, one coordinate
-    solved from the determinant."""
-    isqrt = math.isqrt
-    m = isqrt(hi - 1)
-    for a11 in range(-m, m + 1):
-        if a11 == 0:
+    """(N, [(a11, a12, a21, a22), ...]) for each N < hi that integer
+    matrices of determinant D2 attain as N = a11^2 + a12^2 + a21^2 + a22^2,
+    with all of those matrices.
+
+    u = (a11 + a22, a12 - a21) and v = (a11 - a22, a12 + a21) have |u|^2 -
+    |v|^2 = 4 D2 and N = |v|^2 + 2 D2, and each pair with u = v mod 2 is
+    one matrix.  So the points of norm k in the disc |u|^2 < hi + 2 D2 pair
+    with those of norm k + 4 D2; x^2 + y^2 = x + y mod 2, so within a norm
+    x mod 2 fixes the parity class."""
+    r = hi + 2 * D2
+    m = math.isqrt(r - 1)
+    disc = defaultdict(lambda: ([], []))  # norm -> points, split by x mod 2
+    for x in range(-m, m + 1):
+        my = math.isqrt(r - 1 - x * x)
+        for y in range(-my, my + 1):
+            disc[x * x + y * y][x & 1].append((x, y))
+    for k, vs in disc.items():
+        us = disc.get(k + 4 * D2)
+        if us is None:
             continue
-        r1 = hi - a11 * a11
-        m12 = isqrt(r1 - 1)
-        for a12 in range(-m12, m12 + 1):
-            r2 = r1 - a12 * a12
-            m21 = isqrt(r2 - 1)
-            for a21 in range(-m21, m21 + 1):
-                num = D2 + a12 * a21
-                if num % a11:
-                    continue
-                a22 = num // a11
-                r = r2 - a21 * a21 - a22 * a22
-                if r > 0:
-                    yield a11, a12, a21, a22, hi - r
-    for a12 in range(-m, m + 1):  # a11 = 0 forces a12 a21 = -D2
-        if a12 == 0 or D2 % a12:
-            continue
-        a21 = -(D2 // a12)
-        r2 = hi - a12 * a12 - a21 * a21
-        if r2 <= 0:
-            continue
-        m22 = isqrt(r2 - 1)
-        for a22 in range(-m22, m22 + 1):
-            yield 0, a12, a21, a22, hi - r2 + a22 * a22
+        found = [((u0 + v0) >> 1, (u1 + v1) >> 1, (v1 - u1) >> 1,
+                  (u0 - v0) >> 1)
+                 for e in (0, 1) for v0, v1 in vs[e] for u0, u1 in us[e]]
+        if found:
+            yield k + 2 * D2, found
 
 
 def enumerate_bounded(group: MarkedGroup, C: float,
@@ -467,9 +463,10 @@ def enumerate_bounded(group: MarkedGroup, C: float,
     Candidates are [[a11, a12], [a21, a22]] / D with D = prod p^(ceil(C/2)
     - 1) (the tree bound), so each one moves every tree by less than C.
     The budget is checked against the cube |a_ij| <= D*sqrt(2 cosh C) + 1;
-    the search itself runs over the 4-ball sum a_ij^2 < 2 cosh(C) D^2 (the
-    hyperbolic bound), solves a22 from the determinant, and applies the
-    exact predicate to the integers.
+    the search itself lists the integer matrices of determinant D^2 by
+    norm N = sum a_ij^2 < hi, the float cut above 2 cosh(C) D^2
+    (_det_solutions), and applies the exact hyperbolic predicate once per
+    norm.
     """
     if group.ring.field is not None:
         raise UnsupportedError(
@@ -492,14 +489,15 @@ def enumerate_bounded(group: MarkedGroup, C: float,
             f"budget of {budget}")
     D2 = D * D
     bound = _HypBound(C)
-    lo, hi = bound.cut(D2)
-    m = math.isqrt(hi - 1)  # |a_ij| <= m in the ball
+    _, hi = bound.cut(D2)
+    m = math.isqrt(hi - 1)  # |a_ij| <= m for N < hi
     fr = [Fraction(n, D) for n in range(-m, m + 1)]
     found = []
-    for a11, a12, a21, a22, N in _det_solutions(D2, hi):
-        if N < lo or bound.decide(N, D2):
-            found.append(Matrix(((fr[a11 + m], fr[a12 + m]),
-                                 (fr[a21 + m], fr[a22 + m]))))
+    for N, solutions in _det_solutions(D2, hi):
+        if bound.below(N, D2):
+            found.extend(Matrix(((fr[a11 + m], fr[a12 + m]),
+                                 (fr[a21 + m], fr[a22 + m])))
+                         for a11, a12, a21, a22 in solutions)
     return EnumerationResult(found, C, True)
 
 

@@ -194,3 +194,12 @@ def test_extension_tree_distance_example():
     g = mat([[k.from_rational(2), k.zero()],
              [k.zero(), k.from_rational(Fraction(1, 2))]])
     assert distance(v0, act(g, v0)) == 2
+
+
+def test_contexts_built_apart_are_equal():
+    a = tree_context(3, make_field([1, 0, 1]))
+    b = tree_context(3, make_field([1, 0, 1]))
+    assert a is not b and a.field is not b.field
+    assert a == b and hash(a) == hash(b)
+    assert distance(base_vertex(a), base_vertex(b)) == 0
+    assert tree_context(3) != a

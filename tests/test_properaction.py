@@ -77,6 +77,13 @@ def test_profile_less_than_is_strict():
     assert not prof.less_than(1.0)
 
 
+def test_profile_less_than_over_a_field():
+    # a field profile compares its float hyp, about 0.9624 here
+    prof = displacement(U, make_group([S, U], QI))
+    assert prof.less_than(1.0)
+    assert not prof.less_than(0.5)
+
+
 def test_profile_less_than_is_exact_at_float_tie():
     # hyp(T) = arccosh(3/2); the float C = acosh(1.5) lies just above it,
     # and the float hyp rounds to C itself, so only an exact comparison
@@ -118,6 +125,40 @@ def test_word_bfs_is_sound():
     for g in found:
         assert displacement(g, group).less_than(1.0)
     assert Matrix.identity(2) in found
+
+
+@pytest.mark.parametrize("C, kept", [(math.inf, 124), (800.0, 124),
+                                     (1e308, 124), (0.0, 0), (-1.0, 0)])
+def test_word_bfs_at_the_edges_of_the_bound(C, kept):
+    # 2 cosh C is infinite or beyond float range, or C admits nothing
+    gens = [S, T, D2]
+    assert len(word_ball(gens, 3)) == 124
+    assert len(word_bfs(make_group(gens), 3, C)) == kept
+    if not kept:  # with no prime, only the hyperbolic bound decides
+        assert word_bfs(make_group([S, T]), 3, C) == set()
+
+
+def _brute_det_solutions(D2, hi):
+    m = math.isqrt(hi - 1)
+    r = range(-m, m + 1)
+    return {(a, b, c, d) for a in r for b in r for c in r for d in r
+            if a * d - b * c == D2 and a * a + b * b + c * c + d * d < hi}
+
+
+@pytest.mark.parametrize("D2", [1, 4, 9, 16, 36])
+def test_det_solutions_match_a_four_loop(D2):
+    expect = _brute_det_solutions(D2, 2 * D2 + 25)
+    top = max(sum(x * x for x in sol) for sol in expect)
+    for hi in (top, top + 1):  # the norm top is attained
+        got = list(pa._det_solutions(D2, hi))
+        norms = [N for N, _ in got]
+        assert len(norms) == len(set(norms)) and (top in norms) == (hi > top)
+        flat = [sol for _, sols in got for sol in sols]
+        assert len(flat) == len(set(flat))
+        assert set(flat) == _brute_det_solutions(D2, hi)
+        for N, sols in got:
+            assert all(sum(x * x for x in sol) == N for sol in sols)
+        assert any(sol[0] == 0 for sol in flat)  # a11 = 0 is not special
 
 
 def test_enumerate_modular_group_tiny_bound():
@@ -439,6 +480,10 @@ def test_field_kernel_keeps_gate_and_checks():
     sqrt2 = make_field([-2, 0, 1]).gamma()
     with pytest.raises(TypeError):
         word_ball([U, mat([[1, sqrt2], [0, 1]])], 2)
+    with pytest.raises(EntryOutsideRingError, match="declared field"):
+        displacement(mat([[1, sqrt2], [0, 1]]), make_group([S, U], QI))
+    with pytest.raises(EntryOutsideRingError, match="no field was declared"):
+        make_group([S, U])
 
 
 def test_field_path_skips_tree_action_and_matrix_products(monkeypatch):
