@@ -27,8 +27,8 @@ from .errors import CheckFailedError, Sl2KitError
 from .hyperbolic import hyp_distance
 from .matrices import Matrix
 from .numberfield import minimal_polynomial
-from .properaction import (BUDGET_ENV_VAR, displacement, enumerate_bounded,
-                           make_group, properness_check, word_ball)
+from .properaction import (BUDGET_ENV_VAR, _word_stream, displacement,
+                           enumerate_bounded, make_group, properness_check)
 from .serialization import (encode_matrix, encode_rational, encode_scalar,
                             encode_vertex, float12, parse_field, parse_group,
                             parse_matrix, parse_point, parse_rational,
@@ -179,7 +179,7 @@ def _cmd_embed(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     group = parse_group(_load_json(args.group, "--group"))
-    basis = select_basis(word_ball(group.generators, args.ball))
+    basis = select_basis(_word_stream(group.generators, args.ball))
     rep = Rep4(basis)
     samples = _random_words(group.generators, args.samples,
                             max(2 * args.ball, 4), args.seed)

@@ -15,6 +15,7 @@ later assignment or deletion raises ``AttributeError``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SingularError
 
@@ -60,8 +61,11 @@ class Matrix(Immutable):
 
     def __init__(self, rows):
         n = len(rows)
-        if n not in (1, 2, 3, 4) or any(len(r) != n for r in rows):
+        if n not in (1, 2, 3, 4):
             raise ValueError("square matrices of size 1..4 only")
+        for r in rows:
+            if len(r) != n:
+                raise ValueError("square matrices of size 1..4 only")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -149,18 +153,36 @@ class Matrix(Immutable):
     def charpoly(self) -> tuple:
         """Characteristic polynomial det(xI - A), coefficients constant-first.
 
-        Faddeev-LeVerrier recursion; the divisions are by the integers 1..n,
-        always exact in characteristic zero.
+        Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_(k+1) = A(M_k + c_k I).
+        A rational matrix runs it on the integer numerators of D*A, where
+        every division by k is exact in Z, and rescales by
+        c_k(A) = c_k(D*A)/D^k; the coefficients are Fractions.  Any other
+        matrix runs it on its own entries, so a coefficient is a
+        FieldElement exactly where field entries reach it.
         """
-        n = self.n
-        ident = Matrix.identity(n)
-        coeffs_desc = [Fraction(1)]
-        m = self
+        scaled = _int_rows(self.rows)
+        a = self.rows if scaled is None else scaled[1]
+        n = len(a)
+        coeffs_desc = [1]
+        m = a
         for k in range(1, n + 1):
-            c = -(m.trace() / k)
+            t = m[0][0]
+            for i in range(1, n):
+                t = t + m[i][i]
+            c = -(t / k) if scaled is None else -(t // k)
             coeffs_desc.append(c)
             if k < n:
-                m = self * (m + c * ident)
+                zero = c - c
+                cols = tuple(zip(*(
+                    [x + c if i == j else x + zero for j, x in enumerate(row)]
+                    for i, row in enumerate(m))))
+                m = [[_dot(r, col) for col in cols] for r in a]
+        if scaled is None:
+            coeffs_desc[0] = Fraction(1)
+        else:
+            D = scaled[0]
+            coeffs_desc = [Fraction(c, D ** k)
+                           for k, c in enumerate(coeffs_desc)]
         return tuple(reversed(coeffs_desc))
 
     def is_identity(self) -> bool:
@@ -183,6 +205,18 @@ class Matrix(Immutable):
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers (generic over the scalar type)
 # ---------------------------------------------------------------------------
+
+def _int_rows(rows):
+    """(D, rows of D*A as int lists) for the least common denominator D of
+    the entries, when every entry is an int or a Fraction; else None."""
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                return None
+    D = lcm(*[x.denominator for row in rows for x in row])
+    return D, [[x.numerator * (D // x.denominator) for x in row]
+               for row in rows]
+
 
 def _row_reduce(aug, ncols):
     """Gauss-Jordan elimination on the first ``ncols`` columns, in place.

@@ -337,16 +337,22 @@ def _steps_field(steps):
     return fields.pop() if fields else None
 
 
+def _word_stream(generators, max_len: int):
+    """word_ball as a generator: the ball is walked on kernel tuples up
+    front, and each Matrix is built only when it is reached."""
+    _check_max_len(max_len)
+    steps = _steps(generators)
+    field = _steps_field(steps)
+    for k, mask in _ball(steps, field, max_len).items():
+        yield _matrix(k, mask, field)
+
+
 def word_ball(generators, max_len: int):
     """Distinct products of at most max_len generators/inverses, in BFS
     discovery order (deterministic for a fixed generator order), multiplied
     as kernel tuples.  An entry is a FieldElement exactly where the Matrix
     product would make one."""
-    _check_max_len(max_len)
-    steps = _steps(generators)
-    field = _steps_field(steps)
-    return [_matrix(k, mask, field)
-            for k, mask in _ball(steps, field, max_len).items()]
+    return list(_word_stream(generators, max_len))
 
 
 def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:

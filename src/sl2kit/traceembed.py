@@ -12,8 +12,17 @@ The transpose of that table is alpha(g): the row-convention table
 composes contravariantly (P(gh) = P(h) P(g)), so the transpose is the side
 that satisfies alpha(gh) = alpha(g) alpha(h).  The system is linear in g,
 so alpha is the left-regular representation of the 2x2 matrices in the
-basis g1..g4: TraceBasis solves it once per matrix unit E_ab, and alpha(g)
-is sum g_ab * alpha(E_ab).  Rep4 wraps alpha and caches nothing.
+basis g1..g4: TraceBasis solves it once per matrix unit E_ab, from the
+16 products g_i g_k since tr(E_ab h) = h_ba, and alpha(g) is
+sum g_ab * alpha(E_ab).  Rep4 wraps alpha and caches nothing.
+
+Over Q the layer runs on integers.  TraceBasis keeps the four tables as
+int numerators over one denominator, so alpha(g) of a rational g costs
+one integer dot product and one Fraction per entry; Matrix.charpoly runs
+on the numerators of the common-denominator form; and the homomorphism
+check of verify_embedding compares rep(ab) with rep(a) rep(b) by
+cross-multiplied numerators, without forming the 4x4 Fraction product.
+Over Q(gamma) the same formulas run on the entries themselves.
 
 Everything here is exact.  Entry integrality is measured per element with
 is_algebraic_integer and reported, never assumed.
@@ -21,9 +30,14 @@ is_algebraic_integer and reported, never assumed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from .errors import DetNotOneError, RankDeficientError
-from .matrices import Immutable, Matrix, mat, rank
-from .numberfield import is_algebraic_integer
+from .matrices import Immutable, Matrix, _dot, _int_rows, rank
+from .numberfield import FieldElement, is_algebraic_integer
+
+_UNITS = ((0, 0), (0, 1), (1, 0), (1, 1))  # E_00, E_01, E_10, E_11
 
 
 def integral_characteristic(g: Matrix) -> bool:
@@ -40,7 +54,7 @@ class TraceBasis(Immutable):
     2x2 matrix space, their Gram matrix, and the images alpha(E_ab) of the
     matrix units E_00, E_01, E_10, E_11."""
 
-    __slots__ = ("elements", "gram", "tables")
+    __slots__ = ("elements", "gram", "tables", "_ints")
 
     def __init__(self, elements, gram: Matrix):
         elements = tuple(elements)
@@ -48,17 +62,39 @@ class TraceBasis(Immutable):
             raise ValueError("a trace basis has exactly four elements")
         if gram.n != 4 or gram.det() == 0:
             raise RankDeficientError("Gram matrix must be invertible 4x4")
-        # alpha(E_ab) by the Gram solve, whose entry types alpha keeps
-        gram_inv = gram.inverse()
-        units = (mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
-                 mat([[0, 0], [1, 0]]), mat([[0, 0], [0, 1]]))
-        tables = tuple(
-            (Matrix(tuple(tuple((e * gi * gk).trace() for gk in elements)
-                          for gi in elements)) * gram_inv).transpose()
-            for e in units)
+        # tr(E_ab g_i g_k) = (g_i g_k)_ba, so the Gram solve gives
+        # alpha(E_ab)_ji = sum_k (g_i g_k)_ba (G^-1)_kj from the 16 products
+        # g_i g_k.  When every g_i and G^-1 is rational it runs on their
+        # numerators over one common denominator D, and the sums are over D^3.
+        rows = [*(row for g in elements for row in g.rows),
+                *gram.inverse().rows]
+        scaled = _int_rows(rows)
+        if scaled is not None:
+            D, rows = scaled
+        gs = [Matrix(tuple(map(tuple, rows[i:i + 2]))) for i in (0, 2, 4, 6)]
+        prods = [[(gi * gk).rows for gk in gs] for gi in gs]
+        nums = [[[_dot([p[b][a] for p in prods[i]], col) for i in range(4)]
+                 for col in zip(*rows[8:])] for a, b in _UNITS]
+        ints = None
+        if scaled is None:
+            # a Gram solve with a FieldElement basis makes every entry one
+            fields = [x.field for g in elements for row in g.rows for x in row
+                      if isinstance(x, FieldElement)]
+            zero = fields[0].zero() if fields else 0
+            tables = tuple(Matrix(tuple(tuple(x + zero for x in row)
+                                        for row in t)) for t in nums)
+        else:
+            k = gcd(D ** 3, *[x for t in nums for row in t for x in row])
+            nums = [[[x // k for x in row] for row in t] for t in nums]
+            den = D ** 3 // k
+            tables = tuple(Matrix(tuple(tuple(Fraction(x, den) for x in row)
+                                        for row in t)) for t in nums)
+            # entry (i, j) of A_00, A_01, A_10, A_11 as (w, x, y, z) over den
+            ints = den, tuple(tuple(zip(*ts)) for ts in zip(*nums))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "_ints", ints)
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
@@ -96,7 +132,18 @@ def alpha(g: Matrix, basis: TraceBasis) -> Matrix:
 
     g_00*A_00 + g_01*A_01 + g_10*A_10 + g_11*A_11 for the unit tables A_ab;
     an entry is a FieldElement exactly where the Gram solve for g makes one
-    (where g, the basis, or column i of the Gram inverse holds one)."""
+    (where g, the basis, or column i of the Gram inverse holds one).  For
+    rational g and tables, each entry is one integer dot product of the
+    numerators over the product of the two common denominators."""
+    ints = basis._ints
+    scaled = ints and _int_rows(g.rows)
+    if scaled:
+        D, ((a, b), (c, d)) = scaled
+        den = D * ints[0]
+        return Matrix(tuple(
+            tuple(Fraction(a * w + b * x + c * y + d * z, den)
+                  for w, x, y, z in row)
+            for row in ints[1]))
     (g00, g01), (g10, g11) = g.rows
     return Matrix(tuple(
         tuple(g00 * w + g01 * x + g10 * y + g11 * z
@@ -142,6 +189,18 @@ def _poly_square(coeffs):
     return tuple(out)
 
 
+def _is_product(m: Matrix, ma: Matrix, mb: Matrix) -> bool:
+    """m == ma * mb; for rational matrices by cross-multiplied integer
+    numerators, without forming the product."""
+    s, sa, sb = _int_rows(m.rows), _int_rows(ma.rows), _int_rows(mb.rows)
+    if s is None or sa is None or sb is None:
+        return m == ma * mb
+    (D, rows), (Da, A), (Db, B) = s, sa, sb
+    scale, cols = Da * Db, tuple(zip(*B))
+    return all(x * scale == D * _dot(r, col)
+               for row, r in zip(rows, A) for x, col in zip(row, cols))
+
+
 def verify_embedding(rep: Rep4, samples) -> dict:
     """Measure the representation on concrete samples.
 
@@ -158,7 +217,7 @@ def verify_embedding(rep: Rep4, samples) -> dict:
     pairs = 0
     for a, b, ma, mb in zip(samples, samples[1:], images, images[1:]):
         pairs += 1
-        if rep(a * b) != ma * mb:
+        if not _is_product(rep(a * b), ma, mb):
             failures.append(f"homomorphism: {a!r} * {b!r}")
     identity_images = 0
     entry_integrality = []

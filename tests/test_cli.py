@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sl2kit
 import sl2kit.cli as cli
 from sl2kit import PropernessReport, mat
 from sl2kit.cli import main
@@ -502,9 +504,13 @@ def test_envelope_keys_sorted(capsys):
 
 
 def test_module_entry_subprocess():
+    # the child imports the same sl2kit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sl2kit", "valuate", "--p", "3", "--x", "9/2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == \
         '{"diagnostics": [], "result": {"value": 2}, "status": "ok"}\n'

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (det_leibniz, inverse_by_adjugate, pivot_columns,
                      rank_by_minors)
-from sl2kit import (ArchimedeanEmbedding, Factor, HPoint, Matrix,
-                    PropernessReport, SingularError, base_vertex,
+from sl2kit import (ArchimedeanEmbedding, Factor, FieldElement, HPoint,
+                    Matrix, PropernessReport, SingularError, base_vertex,
                     classify_2dim, displacement, enumerate_bounded, extend,
                     linear_solve, make_field, make_group, make_subalgebra,
                     mat, rank, select_basis, tree_context, word_ball)
@@ -123,6 +123,67 @@ def test_charpoly_constant_term_is_signed_det():
             power = power * m
             acc = acc + power.scale(c)
         assert all(acc[i, j] == 0 for i in range(n) for j in range(n))
+
+
+def _char_value(cp, x):
+    acc = Fraction(0)
+    for c in reversed(cp):
+        acc = acc * x + c
+    return acc
+
+
+def test_charpoly_matches_leibniz_oracle():
+    # det(xI - A) by the permutation expansion at five rational points
+    rng = random.Random(31)
+    k = make_field([1, 0, 1])
+    dens = (1, 2, 9, 97, 10 ** 6 + 3, 2 ** 61 - 1)
+
+    def rational():
+        return Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.choice(dens))
+
+    cases = [[[rational() for _ in range(n)] for _ in range(n)]
+             for n in (3, 4) for _ in range(12)]
+    cases += [[[k.element([rational(), rational()]) for _ in range(4)]
+               for _ in range(4)] for _ in range(6)]
+    xs = (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5),
+          Fraction(10 ** 6 + 3, 11))
+    for rows in cases:
+        n = len(rows)
+        cp = Matrix(tuple(map(tuple, rows))).charpoly()
+        assert len(cp) == n + 1
+        for x in xs:
+            shifted = [[(x if i == j else 0) - rows[i][j] for j in range(n)]
+                       for i in range(n)]
+            assert _char_value(cp, x) == det_leibniz(shifted)
+
+
+def test_charpoly_coefficient_types():
+    # a rational matrix gives Fractions, whatever its denominators
+    big = Fraction(5, 2 ** 61 - 1)
+    cp = mat([[big, 1, 0], [Fraction(-3, 7), 2, big], [0, 1, 1]]).charpoly()
+    assert [type(c) for c in cp] == [Fraction] * 4
+    # otherwise a coefficient is a FieldElement once field entries reach
+    # it: all at once through a field diagonal entry, else from the
+    # x^(n-2) coefficient down
+    k = make_field([1, 0, 1])
+    i, F = k.gamma(), FieldElement
+
+    def with_field_entries(n, positions):
+        rows = [[Fraction(1 + r * n + c, 1 + (r + c) % 3) for c in range(n)]
+                for r in range(n)]
+        for r, c in positions:
+            rows[r][c] = rows[r][c] + i
+        return Matrix(tuple(map(tuple, rows)))
+
+    for n, positions, types in [
+            (4, [(0, 1)], [F, F, F, Fraction, Fraction]),
+            (4, [(1, 2), (2, 1)], [F, F, F, Fraction, Fraction]),
+            (4, [(3, 3)], [F, F, F, F, Fraction]),
+            (4, [(r, c) for r in range(4) for c in range(4)],
+             [F, F, F, F, Fraction]),
+            (3, [(2, 0)], [F, F, Fraction, Fraction])]:
+        cp = with_field_entries(n, positions).charpoly()
+        assert [type(c) for c in cp] == types
 
 
 def test_transpose_trace_neg():

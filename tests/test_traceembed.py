@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import alpha_by_solve, random_sl2z
-from sl2kit import (DetNotOneError, Matrix, RankDeficientError, Rep4, alpha,
-                    integral_characteristic, make_field, mat, reconstruct,
-                    select_basis, verify_embedding, word_ball)
+from sl2kit import (DetNotOneError, FieldElement, Matrix, RankDeficientError,
+                    Rep4, alpha, integral_characteristic, make_field, mat,
+                    reconstruct, select_basis, verify_embedding, word_ball)
 
 S = mat([[0, -1], [1, 0]])
 T = mat([[1, 1], [0, 1]])
@@ -205,3 +205,84 @@ def test_verify_embedding_reports_failures():
     assert report["identity_images"] == 0
     assert report["entry_integrality"] == [True] * 4
     assert report["all_entries_integral"]
+
+
+P61 = 2 ** 61 - 1  # a prime; the planted error below is 1/P61^2
+
+
+class NudgedRep(Rep4):
+    """alpha, with 1/P61^2 added to entry (0, 0) of one sample's image."""
+
+    def __init__(self, basis, target):
+        super().__init__(basis)
+        self.target = target
+        self.calls = 0
+
+    def __call__(self, g):
+        self.calls += 1
+        m = super().__call__(g)
+        if g != self.target:
+            return m
+        rows = [list(r) for r in m.rows]
+        rows[0][0] += Fraction(1, P61 * P61)
+        return Matrix(tuple(map(tuple, rows)))
+
+
+def test_verify_embedding_finds_a_failure_at_large_denominators():
+    u = mat([[1, Fraction(1, P61)], [0, 1]])
+    d = mat([[10 ** 6 + 3, 0], [0, Fraction(1, 10 ** 6 + 3)]])
+    samples = [u * d, T * u, S * d * u, d * T * u, u]
+    basis = select_basis(word_ball([S, T, u], 2))
+    assert verify_embedding(Rep4(basis), samples)["ok"]
+    rep = NudgedRep(basis, samples[1])
+    report = verify_embedding(rep, samples)
+    assert rep.calls == 2 * len(samples) - 1
+    a, b, c = samples[:3]
+    assert report["failures"] == [
+        f"homomorphism: {a!r} * {b!r}",
+        f"homomorphism: {b!r} * {c!r}",
+        f"probe: reconstruction mismatch for {b!r}",
+        f"characteristic square identity: {b!r}",
+        f"determinant: {b!r}",
+    ]
+    assert report["homomorphism_pairs"] == 4
+    assert report["entry_integrality"] == [False] * 5
+
+
+def _generic_alpha(g, basis):
+    """sum g_ab * A_ab by Matrix arithmetic on the stored unit tables."""
+    (g00, g01), (g10, g11) = g.rows
+    a00, a01, a10, a11 = basis.tables
+    return g00 * a00 + g01 * a01 + g10 * a10 + g11 * a11
+
+
+def _typed(m):
+    return [(type(x), x) for row in m.rows for x in row]
+
+
+def test_alpha_matches_the_generic_sum_in_types_and_values():
+    rng = random.Random(61)
+    k = make_field([1, 0, 1])
+    u = mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
+    units = [mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
+             mat([[0, 0], [1, 0]]), mat([[0, 0], [0, 1]])]
+
+    def rational():
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                        rng.choice((1, 3, 10 ** 6 + 3, P61)))
+
+    rational_gs = [mat([[rational() for _ in range(2)] for _ in range(2)])
+                   for _ in range(10)] + [random_sl2z(rng, size=6)]
+    field_gs = [mat([[k.element([rational(), rational()]), rational()],
+                     [rational(), k.element([0, rational()])]])
+                for _ in range(5)] + [u * T]
+    for basis, field_basis in [(sl2z_basis(), False),
+                               (select_basis(word_ball([S, u], 2)), True)]:
+        # each table is alpha(E_ab) of the Gram solve, all FieldElements
+        # exactly when the basis holds one
+        kind = FieldElement if field_basis else Fraction
+        for e, table in zip(units, basis.tables):
+            assert table == alpha_by_solve(e, basis)
+            assert all(type(x) is kind for row in table.rows for x in row)
+        for g in rational_gs + field_gs:
+            assert _typed(alpha(g, basis)) == _typed(_generic_alpha(g, basis))
