@@ -172,6 +172,8 @@ class Matrix(Immutable):
             c = -(t / k) if scaled is None else -(t // k)
             coeffs_desc.append(c)
             if k < n:
+                # add c*I as Matrix arithmetic would: each off-diagonal
+                # entry gains a zero of c's type, which keeps entry types
                 zero = c - c
                 cols = tuple(zip(*(
                     [x + c if i == j else x + zero for j, x in enumerate(row)]
