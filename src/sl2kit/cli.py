@@ -27,8 +27,9 @@ from .errors import CheckFailedError, Sl2KitError
 from .hyperbolic import hyp_distance
 from .matrices import Matrix
 from .numberfield import minimal_polynomial
-from .properaction import (BUDGET_ENV_VAR, _word_stream, displacement,
-                           enumerate_bounded, make_group, properness_check)
+from .properaction import (BUDGET_ENV_VAR, _steps, _word_stream,
+                           displacement, enumerate_bounded, make_group,
+                           properness_check)
 from .serialization import (encode_matrix, encode_rational, encode_scalar,
                             encode_vertex, float12, parse_field, parse_group,
                             parse_matrix, parse_point, parse_rational,
@@ -165,7 +166,7 @@ def _cmd_check_proper(args):
 
 def _random_words(generators, count, max_len, seed):
     rng = random.Random(seed)
-    steps = list(generators) + [g.inverse() for g in generators]
+    steps = _steps(generators)
     out = [Matrix.identity(2)]
     while len(out) < count:
         m = Matrix.identity(2)
@@ -178,6 +179,8 @@ def _random_words(generators, count, max_len, seed):
 def _cmd_embed(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.ball < 0:
+        raise ValueError("--ball must be nonnegative")
     group = parse_group(_load_json(args.group, "--group"))
     basis = select_basis(_word_stream(group.generators, args.ball))
     rep = Rep4(basis)

@@ -10,14 +10,17 @@ its coordinate table is recovered by solving the Gram system
 
 The transpose of that table is alpha(g): the row-convention table
 composes contravariantly (P(gh) = P(h) P(g)), so the transpose is the side
-that satisfies alpha(gh) = alpha(g) alpha(h).  The system is linear in g,
-so alpha is the left-regular representation of the 2x2 matrices in the
-basis g1..g4: TraceBasis solves it once per matrix unit E_ab, from the
-16 products g_i g_k since tr(E_ab h) = h_ba, and alpha(g) is
-sum g_ab * alpha(E_ab).  Rep4 wraps alpha and caches nothing.
+that satisfies alpha(gh) = alpha(g) alpha(h).  The pairing being
+nondegenerate, the system holds for every k exactly when
+g g_i = sum_j P_ij g_j, so alpha is the left-regular representation of the
+2x2 matrices in the basis g1..g4: column i of alpha(g) holds the
+coordinates of g g_i.  The system is linear in g, so TraceBasis finds them
+once per matrix unit E_ab, from one inverse of the 4x4 matrix of basis
+entries, and alpha(g) is sum g_ab * alpha(E_ab).  The Gram matrix only
+chooses the basis and reports it.  Rep4 wraps alpha and caches nothing.
 
-Over Q the layer runs on integers.  TraceBasis keeps the four tables as
-int numerators over one denominator, so alpha(g) of a rational g costs
+Over Q the layer runs on integers.  TraceBasis also keeps the four tables
+as int numerators over one denominator, so alpha(g) of a rational g costs
 one integer dot product and one Fraction per entry; Matrix.charpoly runs
 on the numerators of the common-denominator form; and the homomorphism
 check of verify_embedding compares rep(ab) with rep(a) rep(b) by
@@ -31,9 +34,8 @@ is_algebraic_integer and reported, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .errors import DetNotOneError, RankDeficientError
+from .errors import DetNotOneError, RankDeficientError, SingularError
 from .matrices import Immutable, Matrix, _dot, _int_rows, rank
 from .numberfield import FieldElement, is_algebraic_integer
 
@@ -52,7 +54,12 @@ def integral_characteristic(g: Matrix) -> bool:
 class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
     2x2 matrix space, their Gram matrix, and the images alpha(E_ab) of the
-    matrix units E_00, E_01, E_10, E_11."""
+    matrix units E_00, E_01, E_10, E_11.
+
+    The tables are coordinates in the elements and do not read the Gram
+    matrix, which must still be an invertible 4x4 matrix; elements whose
+    entries are linearly dependent raise RankDeficientError as well.  The
+    tables are all FieldElements when an element holds one."""
 
     __slots__ = ("elements", "gram", "tables", "_ints")
 
@@ -62,35 +69,28 @@ class TraceBasis(Immutable):
             raise ValueError("a trace basis has exactly four elements")
         if gram.n != 4 or gram.det() == 0:
             raise RankDeficientError("Gram matrix must be invertible 4x4")
-        # tr(E_ab g_i g_k) = (g_i g_k)_ba, so the Gram solve gives
-        # alpha(E_ab)_ji = sum_k (g_i g_k)_ba (G^-1)_kj from the 16 products
-        # g_i g_k.  When every g_i and G^-1 is rational it runs on their
-        # numerators over one common denominator D, and the sums are over D^3.
-        rows = [*(row for g in elements for row in g.rows),
-                *gram.inverse().rows]
-        scaled = _int_rows(rows)
-        if scaled is not None:
-            D, rows = scaled
-        gs = [Matrix(tuple(map(tuple, rows[i:i + 2]))) for i in (0, 2, 4, 6)]
-        prods = [[(gi * gk).rows for gk in gs] for gi in gs]
-        nums = [[[_dot([p[b][a] for p in prods[i]], col) for i in range(4)]
-                 for col in zip(*rows[8:])] for a, b in _UNITS]
-        ints = None
-        if scaled is None:
-            # a Gram solve with a FieldElement basis makes every entry one
-            fields = [x.field for g in elements for row in g.rows for x in row
-                      if isinstance(x, FieldElement)]
-            zero = fields[0].zero() if fields else 0
-            tables = tuple(Matrix(tuple(tuple(x + zero for x in row)
-                                        for row in t)) for t in nums)
-        else:
-            k = gcd(D ** 3, *[x for t in nums for row in t for x in row])
-            nums = [[[x // k for x in row] for row in t] for t in nums]
-            den = D ** 3 // k
-            tables = tuple(Matrix(tuple(tuple(Fraction(x, den) for x in row)
-                                        for row in t)) for t in nums)
+        # Column i of alpha(E_ab) holds the coordinates of E_ab g_i in the
+        # basis; its row a is row b of g_i and its other row is zero.  With
+        # V[2r + s][i] = (g_i)_rs and W = V^-1 that is
+        # A_ab[j][i] = W[j][2a] (g_i)_b0 + W[j][2a + 1] (g_i)_b1.
+        try:
+            w = Matrix(tuple(zip(*(g.rows[0] + g.rows[1]
+                                   for g in elements)))).inverse().rows
+        except SingularError:
+            raise RankDeficientError(
+                "Gram matrix must be invertible 4x4") from None
+        # a basis with a FieldElement entry makes every entry one
+        fields = [x.field for g in elements for row in g.rows for x in row
+                  if isinstance(x, FieldElement)]
+        zero = fields[0].zero() if fields else 0
+        tables = tuple(Matrix(tuple(
+            tuple(wj[2 * a] * g.rows[b][0] + wj[2 * a + 1] * g.rows[b][1]
+                  + zero for g in elements) for wj in w)) for a, b in _UNITS)
+        ints = _int_rows([row for t in tables for row in t.rows])
+        if ints is not None:
             # entry (i, j) of A_00, A_01, A_10, A_11 as (w, x, y, z) over den
-            ints = den, tuple(tuple(zip(*ts)) for ts in zip(*nums))
+            den, nums = ints
+            ints = den, tuple(tuple(zip(*nums[i::4])) for i in range(4))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "tables", tables)
@@ -98,10 +98,6 @@ class TraceBasis(Immutable):
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
-
-
-def _gram_rows(elements):
-    return [[(a * b).trace() for b in elements] for a in elements]
 
 
 def select_basis(words) -> TraceBasis:
@@ -112,17 +108,20 @@ def select_basis(words) -> TraceBasis:
     ball gives a reproducible basis.  Raises RankDeficient if the stream
     ends first; that happens exactly when the functionals of the whole
     stream stay inside a proper subspace (e.g. all-diagonal input).
+    Since tr(cg) = tr(gc), a candidate g adds one row and its mirrored
+    column to the Gram block of the elements accepted so far.
     """
-    chosen = []
+    chosen, block = [], []
     for g in words:
         if not isinstance(g, Matrix) or g.n != 2:
             raise ValueError("stream must yield 2x2 matrices")
-        candidate = chosen + [g]
-        rows = _gram_rows(candidate)
-        if rank(rows) == len(candidate):
-            chosen = candidate
+        row = [(c * g).trace() for c in chosen] + [(g * g).trace()]
+        rows = [r + [x] for r, x in zip(block, row)] + [row]
+        if rank(rows) == len(rows):
+            chosen.append(g)
+            block = rows
             if len(chosen) == 4:
-                return TraceBasis(chosen, Matrix(tuple(tuple(r) for r in rows)))
+                return TraceBasis(chosen, Matrix(tuple(map(tuple, block))))
     raise RankDeficientError(
         f"stream exhausted with trace rank {len(chosen)} < 4")
 
@@ -131,8 +130,7 @@ def alpha(g: Matrix, basis: TraceBasis) -> Matrix:
     """4x4 image of g: column i expresses g*g_i in the basis g_1..g_4.
 
     g_00*A_00 + g_01*A_01 + g_10*A_10 + g_11*A_11 for the unit tables A_ab;
-    an entry is a FieldElement exactly where the Gram solve for g makes one
-    (where g, the basis, or column i of the Gram inverse holds one).  For
+    every entry is a FieldElement when g or the basis holds one.  For
     rational g and tables, each entry is one integer dot product of the
     numerators over the product of the two common denominators."""
     ints = basis._ints

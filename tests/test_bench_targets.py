@@ -1,15 +1,19 @@
-"""The traced benchmark wraps library names by string; each must resolve.
-Its CLI shim patches three names in sl2kit.cli; each must stay in use."""
+"""The traced benchmark wraps library names by string, and its workloads
+call library names as sk.<name>; each must resolve.  Its CLI shim patches
+three names in sl2kit.cli; each must stay in use."""
 
 import argparse
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import sl2kit
 import sl2kit.cli as cli
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_targets(monkeypatch):
@@ -35,6 +39,16 @@ def test_bench_trace_targets_resolve(monkeypatch):
             if not found:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_bench_workload_names_resolve():
+    # bench/workloads.py calls the library as sk.<name>; read as text, so
+    # the bench package is not imported
+    text = (BENCH / "workloads.py").read_text()
+    names = set(re.findall(r"(?<![\w.])sk\.([A-Za-z_][A-Za-z0-9_]*)", text))
+    assert {"Rep4", "select_basis", "verify_embedding",
+            "classify_2dim"} <= names
+    assert sorted(n for n in names if not hasattr(sl2kit, n)) == []
 
 
 # bench/cli_shim.py times the CLI by patching cli._Parser.parse_args,

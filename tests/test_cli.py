@@ -371,6 +371,13 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
     assert json.loads(out)["result"]["code"] == "Usage"
 
 
+def test_embed_negative_ball_names_the_flag(capsys):
+    rc, out = run(["embed", "--group", SL2Z, "--ball", "-1"], capsys)
+    assert rc == 1
+    assert json.loads(out)["result"] == {
+        "code": "Usage", "message": "--ball must be nonnegative"}
+
+
 def test_check_integral_golden(capsys):
     expect = ('{"diagnostics": [], "result": {"integral": true, '
               '"trace_minpoly": ["-2", "1"]}, "status": "ok"}\n')

@@ -7,8 +7,9 @@ import pytest
 
 from oracles import alpha_by_solve, random_sl2z
 from sl2kit import (DetNotOneError, FieldElement, Matrix, RankDeficientError,
-                    Rep4, alpha, integral_characteristic, make_field, mat,
-                    reconstruct, select_basis, verify_embedding, word_ball)
+                    Rep4, TraceBasis, alpha, integral_characteristic,
+                    make_field, mat, reconstruct, select_basis,
+                    verify_embedding, word_ball)
 
 S = mat([[0, -1], [1, 0]])
 T = mat([[1, 1], [0, 1]])
@@ -63,6 +64,35 @@ def test_select_basis_rank_deficient_stream():
             Matrix.identity(2)]
     with pytest.raises(RankDeficientError):
         select_basis(diag)
+
+
+def test_trace_basis_rejects_dependent_elements():
+    # S^3 = -S, so the elements are dependent, though the Gram matrix given
+    # (that of the SL(2, Z) basis) is invertible
+    with pytest.raises(RankDeficientError):
+        TraceBasis([Matrix.identity(2), S, T, S * S * S], sl2z_basis().gram)
+
+
+UNITS = [mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
+         mat([[0, 0], [1, 0]]), mat([[0, 0], [0, 1]])]
+
+
+def test_tables_solve_the_gram_system():
+    # the trace definition itself: tr(E_ab g_i g_k) = sum_j A_ab[j][i] G[j][k]
+    # with G[j][k] = tr(g_j g_k), every trace from plain Matrix products
+    k = make_field([1, 1, 1])
+    u = mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
+    for basis in (sl2z_basis(), select_basis(word_ball([S, u], 2))):
+        g = basis.elements
+        gram = [[(a * b).trace() for b in g] for a in g]
+        assert basis.gram == Matrix(tuple(map(tuple, gram)))
+        for e, table in zip(UNITS, basis.tables):
+            for i in range(4):
+                for kk in range(4):
+                    solved = table[0, i] * gram[0][kk]
+                    for j in range(1, 4):
+                        solved = solved + table[j, i] * gram[j][kk]
+                    assert (e * g[i] * g[kk]).trace() == solved
 
 
 def test_alpha_identity():
@@ -264,8 +294,6 @@ def test_alpha_matches_the_generic_sum_in_types_and_values():
     rng = random.Random(61)
     k = make_field([1, 0, 1])
     u = mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
-    units = [mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
-             mat([[0, 0], [1, 0]]), mat([[0, 0], [0, 1]])]
 
     def rational():
         return Fraction(rng.randint(-10 ** 6, 10 ** 6),
@@ -278,10 +306,10 @@ def test_alpha_matches_the_generic_sum_in_types_and_values():
                 for _ in range(5)] + [u * T]
     for basis, field_basis in [(sl2z_basis(), False),
                                (select_basis(word_ball([S, u], 2)), True)]:
-        # each table is alpha(E_ab) of the Gram solve, all FieldElements
+        # each table is alpha(E_ab), all FieldElements
         # exactly when the basis holds one
         kind = FieldElement if field_basis else Fraction
-        for e, table in zip(units, basis.tables):
+        for e, table in zip(UNITS, basis.tables):
             assert table == alpha_by_solve(e, basis)
             assert all(type(x) is kind for row in table.rows for x in row)
         for g in rational_gs + field_gs:
