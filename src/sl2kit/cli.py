@@ -12,7 +12,9 @@ coefficient arrays, matrices as row-major nested arrays; see the
 serialization module.  Floats are printed with 12 significant digits.
 
 The enumeration candidate budget can be capped with the environment
-variable SL2KIT_ENUM_BUDGET or per call with --budget.
+variable SL2KIT_ENUM_BUDGET or per call with --budget.  tree-ball refuses a
+ball of more than 10^5 vertices, counted before it is walked, and embed
+takes at most 10^4 --samples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 import sys
 
 from .bttree import act, ball, base_vertex, distance, tree_context
-from .errors import CheckFailedError, Sl2KitError
+from .errors import CheckFailedError, Sl2KitError, UnsupportedError
 from .hyperbolic import hyp_distance
 from .matrices import Matrix
 from .numberfield import minimal_polynomial
@@ -98,10 +100,31 @@ def _cmd_tree_dist(args):
     return {"distance": distance(u, v)}, []
 
 
+_BALL_LIMIT = 10 ** 5  # tree-ball vertices
+
+
+def _ball_size(q: int, radius: int) -> int:
+    """1 + (q + 1)(q^radius - 1)/(q - 1), the size of a tree ball with
+    residue field size q, summed a layer at a time and stopped once it
+    passes _BALL_LIMIT, so that a huge radius costs nothing."""
+    size, layer = 1, q + 1
+    for _ in range(radius):
+        size += layer
+        if size > _BALL_LIMIT:
+            break
+        layer *= q
+    return size
+
+
 def _cmd_tree_ball(args):
     ctx = tree_context(args.p, args.field)
     center = base_vertex(ctx) if args.center is None else \
         parse_vertex(_load_json(args.center, "--center"), ctx)
+    size = _ball_size(ctx.valuation.residue_size, args.radius)
+    if size > _BALL_LIMIT:
+        raise UnsupportedError(f"a ball of radius {args.radius} has at least "
+                               f"{size} vertices, over the limit of "
+                               f"{_BALL_LIMIT}")
     vertices = ball(center, args.radius)
     encoded = sorted((encode_vertex(v) for v in vertices),
                      key=lambda d: (d["n"], json.dumps(d["b"])))
@@ -179,6 +202,8 @@ def _random_words(generators, count, max_len, seed):
 def _cmd_embed(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples > 10000:
+        raise ValueError("--samples must be at most 10000")
     if args.ball < 0:
         raise ValueError("--ball must be nonnegative")
     group = parse_group(_load_json(args.group, "--group"))

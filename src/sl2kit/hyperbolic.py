@@ -20,7 +20,7 @@ UnsupportedError.
 Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
 polish, deterministic descending (Re, Im) ordering, |minpoly(root)| < 1e-12
-enforced).
+enforced: a root that misses it is refused with UnsupportedError).
 
 For a rational g = [[a, b], [c, d]] / D the same displacement is
 arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2, and _HypBound decides
@@ -89,7 +89,7 @@ class ArchimedeanEmbedding(Immutable):
             raise ValueError(f"root_index out of range 0..{len(refined) - 1}")
         root = refined[root_index]
         if abs(_horner(field.minpoly, root)) >= _ROOT_TOL:
-            raise ArithmeticError("root refinement failed its tolerance")
+            raise UnsupportedError("root refinement failed its tolerance")
         object.__setattr__(self, "roots", tuple(refined))
         object.__setattr__(self, "root", root)
 

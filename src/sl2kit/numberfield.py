@@ -3,10 +3,11 @@
 A field is declared by a monic integer polynomial of degree 1..4 that is
 irreducible over Q; ``gamma`` denotes a root.  Elements are stored as tuples
 of Fractions (c_0, ..., c_{m-1}) meaning c_0 + c_1*gamma + ... in the power
-basis, and every operation is exact.  Irreducibility for these degrees is
-decided by the rational-root test plus, for quartics, an exhaustive search
-for integer quadratic factors (Gauss's lemma makes that complete for monic
-integer polynomials).
+basis, and every operation is exact; products and inverses read the
+field's table of integer structure constants (NumberField._terms).
+Irreducibility for these degrees is decided by the rational-root test plus,
+for quartics, an exhaustive search for integer quadratic factors (Gauss's
+lemma makes that complete for monic integer polynomials).
 
 Plain rationals interoperate: FieldElement arithmetic accepts int and
 Fraction operands, and an element whose higher coefficients vanish compares
@@ -121,26 +122,27 @@ class NumberField(Immutable):
     """Q(gamma) for gamma a root of a certified-irreducible monic polynomial.
 
     Use make_field() rather than the constructor; the constructor trusts its
-    input.  Fields compare and hash by their defining polynomial.
+    input.  Fields compare and hash by their defining polynomial.  A term
+    (r, s, t, w) of _terms (int w != 0, sorted by s, t, r) adds w x_s y_t
+    to coefficient r of x * y (Cohen, GTM 138, 4.2).
     """
 
-    __slots__ = ("minpoly", "_powers")
+    __slots__ = ("minpoly", "_terms")
 
     def __init__(self, minpoly):
         object.__setattr__(self, "minpoly", tuple(int(c) for c in minpoly))
         m = self.degree
-        # gamma^k for k = 0 .. 2m-2 as coefficient tuples; products of two
-        # elements never need more than gamma^(2m-2)
-        powers = [tuple(Fraction(1 if i == k else 0) for i in range(m))
-                  for k in range(m)]
-        rel = tuple(Fraction(-c) for c in self.minpoly[:m])  # gamma^m
-        cur = rel
-        for _ in range(m, 2 * m - 1):
-            powers.append(cur)
-            top = cur[m - 1]
-            shifted = (Fraction(0),) + cur[:m - 1]
-            cur = tuple(s + top * r for s, r in zip(shifted, rel))
-        object.__setattr__(self, "_powers", tuple(powers))
+        # gamma^k for k = 0 .. 2m-2 (all a product needs) as int lists:
+        # gamma^(k+1) is gamma^k shifted up one place, minus its top
+        # coefficient times c_0 .. c_(m-1)
+        powers = [[int(i == k) for i in range(m)] for k in range(m)]
+        while len(powers) < 2 * m - 1:
+            cur = powers[-1]
+            powers.append([lo - cur[-1] * c
+                           for lo, c in zip([0] + cur[:-1], self.minpoly)])
+        object.__setattr__(self, "_terms", tuple(
+            (r, s, t, w) for s in range(m) for t in range(m)
+            for r, w in enumerate(powers[s + t]) if w))
 
     @property
     def degree(self) -> int:
@@ -243,23 +245,12 @@ class FieldElement(Immutable):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        m = self.field.degree
         a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    conv[i + j] += ai * bj
-        powers = self.field._powers
-        out = list(conv[:m])
-        for k in range(m, 2 * m - 1):
-            ck = conv[k]
-            if ck != 0:
-                pk = powers[k]
-                for i in range(m):
-                    out[i] += ck * pk[i]
+        out = [Fraction(0)] * self.field.degree
+        for r, s, t, w in self.field._terms:
+            x, y = a[s], b[t]
+            if x and y:
+                out[r] += x * y if w == 1 else w * x * y
         return FieldElement(self.field, tuple(out))
 
     __rmul__ = __mul__
@@ -268,11 +259,10 @@ class FieldElement(Immutable):
         if not self:
             raise ZeroDivisionError("division by zero in number field")
         m = self.field.degree
-        # columns are the coordinates of x*gamma^j; solve x*y = 1
-        gamma_j = [self.field.element(tuple(1 if i == j else 0 for i in range(m)))
-                   for j in range(m)]
-        cols = [(self * g).coeffs for g in gamma_j]
-        rows = [[cols[j][i] for j in range(m)] for i in range(m)]
+        # row r, column t: the gamma^r coefficient of x * gamma^t
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for r, s, t, w in self.field._terms:
+            rows[r][t] += w * self.coeffs[s]
         rhs = [Fraction(1 if i == 0 else 0) for i in range(m)]
         sol = linear_solve(rows, rhs)
         assert sol is not None  # nonzero elements of a field are invertible

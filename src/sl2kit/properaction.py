@@ -13,8 +13,9 @@ with Q as m = 1.  An element is the tuple (a_0, b_0, c_0, d_0, a_1, ...,
 d_(m-1), D), the matrix sum_r [[a_r, b_r], [c_r, d_r]] gamma^r / D with
 D > 0 and gcd 1 over all its ints; over Q that is (a, b, c, d, D).  The
 minimal polynomial is monic and integral, so a product is an integer
-bilinear form (_mul_table), compiled once per field into straight-line int
-code, and a gcd; word balls are deduplicated on the normalised tuple.
+bilinear form (_mul_table, the field's _terms lifted to 2x2), compiled once
+per field into straight-line int code, and a gcd; word balls are
+deduplicated on the normalised tuple.
 Determinant 1 and ring membership are checked on the generators, as
 products of such elements stay such elements.  For determinant 1 the tree
 displacement at p is 2 v_p(D) (Serre, Trees, II.1), read off the ints with
@@ -244,14 +245,13 @@ def _tree_moves(D: int, primes):
 
 def _mul_table(field: NumberField | None):
     """Numerator 4r + 2i + j of a product x y (the gamma^r coefficient of
-    entry (i, j)) is the sum of w * x[p] * y[q] over its (w, p, q)."""
-    m, powers = (field.degree, field._powers) if field else (1, ((1,),))
-    table = [[] for _ in range(4 * m)]
-    for s, t, i, j, k in product(range(m), range(m), *[(0, 1)] * 3):
-        for r, w in enumerate(powers[s + t]):
-            if w:
-                table[4 * r + 2 * i + j].append(
-                    (int(w), 4 * s + 2 * i + k, 4 * t + 2 * k + j))
+    entry (i, j)) is the sum of w * x[p] * y[q] over its (w, p, q): each
+    field term (r, s, t, w) lifted to the 2x2 product, summed over k."""
+    table = [[] for _ in range(4 * (field.degree if field else 1))]
+    for r, s, t, w in field._terms if field else ((0, 0, 0, 1),):
+        for i, j, k in product((0, 1), repeat=3):
+            table[4 * r + 2 * i + j].append(
+                (w, 4 * s + 2 * i + k, 4 * t + 2 * k + j))
     return table
 
 

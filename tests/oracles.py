@@ -267,3 +267,19 @@ def inverse_by_adjugate(a):
         return (-1) ** (i + j) * det_leibniz(minor)
 
     return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
+
+
+def poly_mulmod(minpoly, a, b):
+    """a * b modulo the monic minpoly, every list constant term first: a
+    schoolbook product, then long division by minpoly.  Returns deg minpoly
+    Fractions."""
+    m = len(minpoly) - 1
+    prod = [Fraction(0)] * max(len(a) + len(b) - 1, m)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    for k in range(len(prod) - 1, m - 1, -1):
+        lead = prod[k]
+        for i, c in enumerate(minpoly):
+            prod[k - m + i] -= lead * c
+    return tuple(prod[:m])

@@ -1,5 +1,7 @@
 """Command-line interface: envelopes, exit codes, byte-stable output."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sl2kit
 import sl2kit.cli as cli
-from sl2kit import PropernessReport, mat
+from sl2kit import PropernessReport, ball, base_vertex, mat, tree_context
 from sl2kit.cli import main
 
 SL2Z = '{"generators": [[["0","-1"],["1","0"]],[["1","1"],["0","1"]]]}'
@@ -117,6 +121,41 @@ def test_tree_ball_golden(capsys):
     assert rc == 0 and out == expect
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--radius", "40"],
+    ["--p", "2", "--radius", str(10**9)],
+    ["--p", "10007", "--minpoly", "[1,0,1]", "--radius", "1"],
+])
+def test_tree_ball_over_the_limit_is_unsupported(capsys, monkeypatch, argv):
+    def no_walk(v, radius):
+        raise AssertionError("the ball was walked")
+
+    monkeypatch.setattr(cli, "ball", no_walk)
+    rc, out = run(["tree-ball"] + argv, capsys)
+    assert rc == 2 and out.count("\n") == 1
+    doc = json.loads(out)["result"]
+    assert doc["code"] == "Unsupported"
+    assert doc["message"].endswith("vertices, over the limit of 100000")
+
+
+@pytest.mark.parametrize("p, minpoly, radius", [
+    (2, None, 5), (3, None, 3), (5, None, 2), (3, [1, 0, 1], 2),
+    (2, [1, 1, 1], 2)])
+def test_tree_ball_size_counts_the_ball(p, minpoly, radius):
+    ctx = tree_context(p, None if minpoly is None else
+                       sl2kit.make_field(minpoly))
+    q = ctx.valuation.residue_size
+    for r in range(radius + 1):
+        assert cli._ball_size(q, r) == len(ball(base_vertex(ctx), r))
+
+
+def test_tree_ball_limit_at_p_2():
+    # radius 15 holds 98,302 vertices and radius 16 holds 196,606
+    assert cli._ball_size(2, 15) == 98302 <= cli._BALL_LIMIT
+    assert cli._ball_size(2, 16) == 196606
+    assert cli._ball_size(2, 10**9) == 196606  # counted no further
+
+
 def test_tree_act_golden(capsys):
     rc, out = run(["tree-act", "--p", "2", "--g", '[["1","1"],["0","1"]]',
                    "--vertex", '{"n": 1, "b": "0"}'], capsys)
@@ -158,6 +197,29 @@ def test_displacement_golden(capsys):
               '"primes": [2], "trees": [2]}, "status": "ok"}\n')
     rc, out = run(["displacement", "--g", '[["2","0"],["0","1/2"]]'], capsys)
     assert rc == 0 and out == expect
+
+
+def test_root_refinement_failure_is_unsupported(capsys):
+    rc, out = run(["displacement", "--minpoly", "[8194, 0, 1]",
+                   "--g", '[["1","1"],["0","1"]]'], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert json.loads(out)["result"] == {
+        "code": "Unsupported",
+        "message": "root refinement failed its tolerance"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**9))
+@example(8194)
+@example(1)
+def test_displacement_over_x2_plus_c_prints_one_envelope(c):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["displacement", "--minpoly", f"[{c}, 0, 1]",
+                   "--g", '[["1","1"],["0","1"]]'])
+    out = buf.getvalue()
+    assert rc in (0, 2) and out.count("\n") == 1
+    assert json.loads(out)["status"] == ("ok" if rc == 0 else "error")
 
 
 def test_enumerate_golden(capsys):
@@ -376,6 +438,13 @@ def test_embed_negative_ball_names_the_flag(capsys):
     assert rc == 1
     assert json.loads(out)["result"] == {
         "code": "Usage", "message": "--ball must be nonnegative"}
+
+
+def test_embed_samples_upper_bound(capsys):
+    rc, out = run(["embed", "--group", SL2Z, "--samples", "10001"], capsys)
+    assert rc == 1
+    assert json.loads(out)["result"] == {
+        "code": "Usage", "message": "--samples must be at most 10000"}
 
 
 def test_check_integral_golden(capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import poly_mulmod
 
 from sl2kit import (FieldElement, NotMonicError, ReducibleError,
                     UnsupportedError, is_algebraic_integer, make_field,
@@ -107,6 +108,34 @@ def test_powers():
     for _ in range(7):
         acc = acc * g
     assert g ** 7 == acc
+
+
+@pytest.mark.parametrize("minpoly", [
+    [3, 1], [1, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [1, 1, 0, 0, 1],
+    [2, 1, 0, 3, 1], [1, 0, 0, 0, 1]])
+def test_products_match_the_schoolbook_oracle(minpoly):
+    rng = random.Random(sum(minpoly))
+    k = make_field(minpoly)
+
+    def scalar():
+        return rng.choice([0, rng.randint(-9, 9),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    def check(z, expect):
+        assert all(type(c) is Fraction for c in z.coeffs)
+        assert z.coeffs == expect
+
+    for _ in range(40):
+        a = [scalar() for _ in range(k.degree)]
+        b = [scalar() for _ in range(k.degree)]
+        x, y = k.element(a), k.element(b)
+        check(x * y, poly_mulmod(minpoly, a, b))
+        n, q = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)
+        check(x * n, poly_mulmod(minpoly, a, [n]))
+        check(q * x, poly_mulmod(minpoly, [q], a))
+        if x:
+            one = poly_mulmod(minpoly, a, x.inverse().coeffs)
+            assert one == (1,) + (0,) * (k.degree - 1)
 
 
 def test_minimal_polynomial_examples():
