@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, UnsupportedError
 from .matrices import Immutable, Matrix
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, _horner
 
 _ROOT_TOL = 1e-12
 
@@ -58,13 +58,6 @@ def _refine_root(coeffs, z: complex) -> complex:
         if abs(step) < 1e-17 * max(1.0, abs(z)):
             break
     return z
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + complex(c)
-    return acc
 
 
 class ArchimedeanEmbedding(Immutable):

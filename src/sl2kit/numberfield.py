@@ -35,7 +35,9 @@ def _divisors(n: int):
     return sorted(divs)
 
 
-def _eval_int_poly(coeffs, x: int) -> int:
+def _horner(coeffs, x):
+    """The polynomial with constant-first coefficients coeffs at x, in the
+    type the arithmetic gives (int at an int, complex at a complex)."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -57,7 +59,7 @@ def _reducible_witness(coeffs):
         return (0, 1)  # the factor x
     for d in _divisors(c0):
         for r in (d, -d):
-            if _eval_int_poly(coeffs, r) == 0:
+            if _horner(coeffs, r) == 0:
                 return (-r, 1)
     if deg == 4:
         a0, a1, a2, a3 = coeffs[0], coeffs[1], coeffs[2], coeffs[3]

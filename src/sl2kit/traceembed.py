@@ -17,7 +17,8 @@ g g_i = sum_j P_ij g_j, so alpha is the left-regular representation of the
 coordinates of g g_i.  The system is linear in g, so TraceBasis finds them
 once per matrix unit E_ab, from one inverse of the 4x4 matrix of basis
 entries, and alpha(g) is sum g_ab * alpha(E_ab).  The Gram matrix only
-chooses the basis and reports it.  Rep4 wraps alpha and caches nothing.
+reports the basis, which select_basis chooses by linear independence of
+the entries.  Rep4 wraps alpha and caches nothing.
 
 Over Q the layer runs on integers.  TraceBasis also keeps the four tables
 as int numerators over one denominator, so alpha(g) of a rational g costs
@@ -53,22 +54,19 @@ def integral_characteristic(g: Matrix) -> bool:
 
 class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
-    2x2 matrix space, their Gram matrix, and the images alpha(E_ab) of the
-    matrix units E_00, E_01, E_10, E_11.
+    2x2 matrix space, their Gram matrix tr(g_i g_k) (reported only), and
+    the images alpha(E_ab) of the matrix units E_00, E_01, E_10, E_11.
 
-    The tables are coordinates in the elements and do not read the Gram
-    matrix, which must still be an invertible 4x4 matrix; elements whose
-    entries are linearly dependent raise RankDeficientError as well.  The
+    Linearly dependent elements raise RankDeficientError; independent ones
+    have det Gram = -det(V)^2 != 0, V the 4x4 matrix of their entries.  The
     tables are all FieldElements when an element holds one."""
 
     __slots__ = ("elements", "gram", "tables", "_ints")
 
-    def __init__(self, elements, gram: Matrix):
+    def __init__(self, elements):
         elements = tuple(elements)
         if len(elements) != 4:
             raise ValueError("a trace basis has exactly four elements")
-        if gram.n != 4 or gram.det() == 0:
-            raise RankDeficientError("Gram matrix must be invertible 4x4")
         # Column i of alpha(E_ab) holds the coordinates of E_ab g_i in the
         # basis; its row a is row b of g_i and its other row is zero.  With
         # V[2r + s][i] = (g_i)_rs and W = V^-1 that is
@@ -92,7 +90,8 @@ class TraceBasis(Immutable):
             den, nums = ints
             ints = den, tuple(tuple(zip(*nums[i::4])) for i in range(4))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", Matrix(tuple(
+            tuple((a * b).trace() for b in elements) for a in elements)))
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_ints", ints)
 
@@ -102,26 +101,25 @@ class TraceBasis(Immutable):
 
 def select_basis(words) -> TraceBasis:
     """Greedily pick the first four stream elements with independent trace
-    functionals (running Gram rank must grow at each acceptance).
+    functionals, that is (the pairing being nondegenerate) the first four
+    whose entries each raise the rank of the entries kept before them.
 
     The stream order decides the result, so feeding a breadth-first word
-    ball gives a reproducible basis.  Raises RankDeficient if the stream
-    ends first; that happens exactly when the functionals of the whole
-    stream stay inside a proper subspace (e.g. all-diagonal input).
-    Since tr(cg) = tr(gc), a candidate g adds one row and its mirrored
-    column to the Gram block of the elements accepted so far.
+    ball gives a reproducible basis.  Raises RankDeficient, with the rank
+    reached, if the stream ends first; that happens exactly when the
+    functionals of the whole stream span a proper subspace (e.g.
+    all-diagonal input).
     """
-    chosen, block = [], []
+    chosen, rows = [], []
     for g in words:
         if not isinstance(g, Matrix) or g.n != 2:
             raise ValueError("stream must yield 2x2 matrices")
-        row = [(c * g).trace() for c in chosen] + [(g * g).trace()]
-        rows = [r + [x] for r, x in zip(block, row)] + [row]
-        if rank(rows) == len(rows):
+        row = g.rows[0] + g.rows[1]
+        if rank(rows + [row]) > len(rows):
             chosen.append(g)
-            block = rows
+            rows.append(row)
             if len(chosen) == 4:
-                return TraceBasis(chosen, Matrix(tuple(map(tuple, block))))
+                return TraceBasis(chosen)
     raise RankDeficientError(
         f"stream exhausted with trace rank {len(chosen)} < 4")
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import NotAValuationError, UnsupportedError
 from .matrices import Immutable
-from .numberfield import FieldElement, NumberField, _eval_int_poly
+from .numberfield import FieldElement, NumberField, _horner
 
 INF = math.inf
 
@@ -217,7 +217,7 @@ def _factor_mod_p(f, p: int):
     if len(f) < 3:
         return None
     for r in range(p):
-        if _eval_int_poly(f, r) % p == 0:
+        if _horner(f, r) % p == 0:
             return ((-r) % p, 1)
     if len(f) == 5:
         for b in range(p):

@@ -242,6 +242,20 @@ def rank_by_minors(a):
     return 0
 
 
+def first_independent(elements, k=4):
+    """The first (at most k) elements whose four entries raise the rank,
+    by minors, of the entries of the elements kept before them."""
+    kept, rows = [], []
+    for g in elements:
+        if len(kept) == k:
+            break
+        row = [g[0, 0], g[0, 1], g[1, 0], g[1, 1]]
+        if rank_by_minors(rows + [row]) > len(rows):
+            kept.append(g)
+            rows.append(row)
+    return kept
+
+
 def pivot_columns(a):
     """Columns j whose addition raises the rank of the columns before them:
     the pivot columns of the reduced row echelon form."""

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import sl2kit
 import sl2kit.cli as cli
-from sl2kit import PropernessReport, ball, base_vertex, mat, tree_context
+from oracles import first_independent, matrix_word_ball
+from sl2kit import (PropernessReport, ball, base_vertex, make_field, mat,
+                    tree_context)
 from sl2kit.cli import main
+from sl2kit.serialization import encode_matrix
 
 SL2Z = '{"generators": [[["0","-1"],["1","0"]],[["1","1"],["0","1"]]]}'
 
@@ -394,28 +397,62 @@ def test_embed_field_golden(capsys):
     # basis and Gram matrix mix Fraction and FieldElement entries, and the
     # alpha tables show which entries come out as field elements
     expect = (
-        '{"diagnostics": ["seed 0", "ball radius 2"], '
-        '"result": {"alpha_tables": [[[["2", "0"], ["0", "0"], ["1", "0"], '
-        '["0", "0"]], [["0", "0"], ["0", "0"], ["0", "0"], ["-1", "0"]], '
-        '[["-1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]], [["0", "0"], '
-        '["1", "0"], ["0", "0"], ["2", "0"]]], [[["0", "0"], ["-1", "0"], '
-        '["0", "-1"], ["0", "0"]], [["1", "0"], ["0", "0"], ["0", "0"], '
-        '["0", "1"]], [["0", "0"], ["0", "0"], ["0", "0"], ["-1", "0"]], '
-        '[["0", "0"], ["0", "0"], ["1", "0"], ["0", "0"]]]], '
-        '"basis": [[["1", "0"], ["0", "1"]], [["0", "-1"], ["1", "0"]], '
-        '[[["1", "0"], ["0", "-1"]], [["0", "0"], ["1", "0"]]], [[["0", '
-        '"1"], ["-1", "0"]], [["1", "0"], ["0", "0"]]]], '
-        '"checks": {"all_entries_integral": true, '
-        '"entry_integrality": [true, true, true, true, true, true], '
-        '"failures": [], "homomorphism_pairs": 5, "identity_images": 2, '
-        '"ok": true, "samples": 6}, "gram": [["2", "0", ["2", "0"], ["0", '
-        '"1"]], ["0", "-2", ["0", "-1"], ["-2", "0"]], [["2", "0"], ["0", '
-        '"-1"], ["2", "0"], ["0", "0"]], [["0", "1"], ["-2", "0"], ["0", '
+        '{"diagnostics": ["seed 0", "ball radius 2"], "result": '
+        '{"alpha_tables": [[[["0", "0"], ["-1", "0"], ["0", "0"], ["0", '
+        '"0"]], [["1", "0"], ["2", "0"], ["0", "0"], ["0", "0"]], '
+        '[["0", "0"], ["0", "0"], ["0", "0"], ["-1", "0"]], [["0", '
+        '"0"], ["0", "0"], ["1", "0"], ["2", "0"]]], [[["0", "0"], '
+        '["0", "1"], ["-1", "0"], ["-2", "0"]], [["0", "0"], ["0", '
+        '"0"], ["0", "0"], ["1", "0"]], [["1", "0"], ["2", "0"], ["0", '
+        '"0"], ["0", "1"]], [["0", "0"], ["-1", "0"], ["0", "0"], ["0", '
+        '"0"]]]], "basis": [[["1", "0"], ["0", "1"]], [[["1", "0"], '
+        '["0", "1"]], [["0", "0"], ["1", "0"]]], [["0", "-1"], ["1", '
+        '"0"]], [[["0", "1"], ["-1", "0"]], [["1", "0"], ["0", "0"]]]], '
+        '"checks": {"all_entries_integral": true, "entry_integrality": '
+        '[true, true, true, true, true, true], "failures": [], '
+        '"homomorphism_pairs": 5, "identity_images": 2, "ok": true, '
+        '"samples": 6}, "gram": [["2", ["2", "0"], "0", ["0", "1"]], '
+        '[["2", "0"], ["2", "0"], ["0", "1"], ["0", "2"]], ["0", ["0", '
+        '"1"], "-2", ["-2", "0"]], [["0", "1"], ["0", "2"], ["-2", '
         '"0"], ["-3", "-1"]]]}, "status": "ok"}'
         "\n")
     rc, out = run(["embed", "--group", FIELD_GROUP, "--samples", "6",
                    "--ball", "2"], capsys)
     assert rc == 0 and out == expect
+    # the basis is the first four linearly independent ball elements
+    k = make_field([1, 1, 1])
+    u = mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
+    s = mat([[0, -1], [1, 0]])
+    kept = first_independent(matrix_word_ball([u, s], 2))
+    assert json.loads(out)["result"]["basis"] == [
+        encode_matrix(g) for g in kept]
+
+
+PARABOLIC_GROUP = ('{"generators": [[["1","1"],["0","1"]], '
+                   '[["2","0"],["0","1/2"]], [["1","0"],["1","1"]]]}')
+
+
+def test_embed_takes_a_parabolic_after_the_identity(capsys):
+    # I, T, diag(2, 1/2), L are independent, though the Gram block of I and
+    # a parabolic is singular
+    rc, out = run(["embed", "--group", PARABOLIC_GROUP, "--ball", "1"],
+                  capsys)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["checks"]["ok"] is True
+    assert result["basis"] == [
+        [["1", "0"], ["0", "1"]], [["1", "1"], ["0", "1"]],
+        [["2", "0"], ["0", "1/2"]], [["1", "0"], ["1", "1"]]]
+
+
+def test_embed_cyclic_group_reports_the_trace_rank(capsys):
+    # a ball of <T> spans I and T, which are independent: rank 2
+    cyclic = '{"generators": [[["1","1"],["0","1"]]]}'
+    rc, out = run(["embed", "--group", cyclic, "--ball", "3"], capsys)
+    assert rc == 2
+    assert json.loads(out)["result"] == {
+        "code": "RankDeficient",
+        "message": "stream exhausted with trace rank 2 < 4"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -61,6 +61,25 @@ def test_embed_rejects_foreign_field_elements():
     assert e(other.from_rational(Fraction(1, 4))) == 0.25
 
 
+@pytest.mark.parametrize("minpoly", [[1, 0, 1], [1, 1, 1], [-2, 0, 0, 1],
+                                     [1, 1, 0, 0, 1]])
+def test_field_embedding_is_complex_horner(minpoly):
+    # bit for bit, signed zeros included, against acc * z + complex(c) from
+    # the top coefficient down
+    rng = random.Random(73)
+    k = make_field(minpoly)
+    for idx in range(k.degree):
+        e = ArchimedeanEmbedding(k, root_index=idx)
+        for _ in range(50):
+            x = k.element([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                           * rng.randint(0, 1) for _ in range(k.degree)])
+            acc = 0j
+            for c in reversed(x.coeffs):
+                acc = acc * e.root + complex(c)
+            got = e(x)
+            assert type(got) is complex and repr(got) == repr(acc)
+
+
 def test_mobius_examples():
     p = HPoint(0, 1)
     same = mobius_act(((1, 0), (0, 1)), p)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import alpha_by_solve, random_sl2z
+from oracles import (alpha_by_solve, first_independent, matrix_word_ball,
+                     random_sl2z, rank_by_minors)
 from sl2kit import (DetNotOneError, FieldElement, Matrix, RankDeficientError,
                     Rep4, TraceBasis, alpha, integral_characteristic,
                     make_field, mat, reconstruct, select_basis,
@@ -67,10 +68,75 @@ def test_select_basis_rank_deficient_stream():
 
 
 def test_trace_basis_rejects_dependent_elements():
-    # S^3 = -S, so the elements are dependent, though the Gram matrix given
-    # (that of the SL(2, Z) basis) is invertible
+    # S^3 = -S, so the elements are dependent
     with pytest.raises(RankDeficientError):
-        TraceBasis([Matrix.identity(2), S, T, S * S * S], sl2z_basis().gram)
+        TraceBasis([Matrix.identity(2), S, T, S * S * S])
+
+
+HALF = mat([[2, 0], [0, Fraction(1, 2)]])
+L = mat([[1, 0], [1, 1]])
+
+
+def _unipotent(minpoly):
+    k = make_field(minpoly)
+    return mat([[k.one(), k.gamma()], [k.zero(), k.one()]])
+
+
+def _trace_of_product(a, b):
+    return sum((a[r, s] * b[s, r] for r in range(2) for s in range(2)),
+               Fraction(0))
+
+
+def _check_against_rank_oracle(stream):
+    """select_basis keeps exactly the first four elements whose entries
+    raise the rank (by minors), and refuses with the rank of the whole
+    stream when it is below 4."""
+    kept = first_independent(stream)
+    if len(kept) == 4:
+        basis = select_basis(stream)
+        assert basis.elements == tuple(kept)
+        assert basis.gram == Matrix(tuple(
+            tuple(_trace_of_product(a, b) for b in kept) for a in kept))
+        return True
+    total = rank_by_minors([[g[0, 0], g[0, 1], g[1, 0], g[1, 1]]
+                            for g in stream])
+    assert total == len(kept) < 4
+    with pytest.raises(RankDeficientError) as info:
+        select_basis(stream)
+    assert str(info.value) == f"stream exhausted with trace rank {total} < 4"
+    return False
+
+
+def test_select_basis_matches_the_rank_oracle_on_random_streams():
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(60):
+        stream = [random_sl2z(rng, size=rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 8))]
+        outcomes.add(_check_against_rank_oracle(stream))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("gens", [
+    [S, T], [T, S], [T, L], [L, S], [S, T, HALF], [HALF, S, T],
+    [T, HALF, L], [HALF, T, L], [T], [HALF],
+    [_unipotent([1, 0, 1]), S], [S, _unipotent([1, 0, 1])],
+    [_unipotent([1, 1, 1]), S], [S, _unipotent([1, 1, 1])],
+], ids=["S,T", "T,S", "T,L", "L,S", "S,T,D", "D,S,T", "T,D,L", "D,T,L",
+        "T", "D", "U(i),S", "S,U(i)", "U(w),S", "S,U(w)"])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_select_basis_matches_the_rank_oracle_on_word_balls(gens, radius):
+    # one generator spans at most I and g; at radius 1 two generators give
+    # I, a, b, a^-1, b^-1, and each inverse here is tr(g) I - g
+    full = len(gens) > 2 or len(gens) == 2 and radius > 1
+    assert _check_against_rank_oracle(matrix_word_ball(gens, radius)) == full
+
+
+def test_select_basis_takes_a_parabolic_after_the_identity():
+    # the Gram block {I, g} of a parabolic g is singular (tr(g)^2 - 4 = 0),
+    # yet I, T, diag(2, 1/2), L are linearly independent
+    basis = select_basis(word_ball([T, HALF, L], 1))
+    assert basis.elements == (Matrix.identity(2), T, HALF, L)
 
 
 UNITS = [mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]),
