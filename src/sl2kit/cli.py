@@ -29,7 +29,7 @@ from .errors import CheckFailedError, Sl2KitError, UnsupportedError
 from .hyperbolic import hyp_distance
 from .matrices import Matrix
 from .numberfield import minimal_polynomial
-from .properaction import (BUDGET_ENV_VAR, _steps, _word_stream,
+from .properaction import (BUDGET_ENV_VAR, _steps, _word_layers,
                            displacement, enumerate_bounded, make_group,
                            properness_check)
 from .serialization import (encode_matrix, encode_rational, encode_scalar,
@@ -38,7 +38,7 @@ from .serialization import (encode_matrix, encode_rational, encode_scalar,
                             parse_scalar, parse_vertex)
 from .sl2classify import (classify_2dim, make_subalgebra, maximality_factor,
                           normalizes_torus, normalizes_unipotent)
-from .traceembed import Rep4, integral_characteristic, select_basis, \
+from .traceembed import Rep4, _select_layered, integral_characteristic, \
     verify_embedding
 from .valuations import INF, PAdicValuation, extend
 
@@ -207,7 +207,7 @@ def _cmd_embed(args):
     if args.ball < 0:
         raise ValueError("--ball must be nonnegative")
     group = parse_group(_load_json(args.group, "--group"))
-    basis = select_basis(_word_stream(group.generators, args.ball))
+    basis = _select_layered(_word_layers(group.generators, args.ball))
     rep = Rep4(basis)
     samples = _random_words(group.generators, args.samples,
                             max(2 * args.ball, 4), args.seed)
@@ -363,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100,
                    help="number of sampled words for the checks")
     p.add_argument("--ball", type=int, default=3,
-                   help="word-ball radius searched for the basis")
+                   help="word-ball radius searched for the basis (the "
+                        "search stops at the first layer that raises no "
+                        "rank, so it reads at most the radius-3 ball); "
+                        "sampled words have up to max(2*BALL, 4) letters")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled words")
 

@@ -141,6 +141,8 @@ class Matrix(Immutable):
             d = self.det()
             if d == 0:
                 raise SingularError("matrix is singular")
+            if isinstance(d, int):
+                d = Fraction(d)  # int / int is a float
             (a, b), (c, e) = self.rows
             return Matrix(((e / d, -b / d), (-c / d, a / d)))
         n = self.n
@@ -245,6 +247,8 @@ def _row_reduce(aug, ncols):
             det = -det
         pv = aug[row][col]
         det = det * pv
+        if isinstance(pv, int):
+            pv = Fraction(pv)  # int / int is a float
         aug[row] = [x / pv for x in aug[row]]
         for r in range(m):
             if r != row and aug[r][col] != 0:

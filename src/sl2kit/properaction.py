@@ -290,9 +290,15 @@ def _multiply(field: NumberField | None):
 # ---------------------------------------------------------------------------
 
 def _ball(steps, field: NumberField | None, max_len: int):
-    """{tuple: mask} of the distinct products of at most max_len steps over
-    field (None for Q), in BFS discovery order from the identity; each
-    mask is the one of the first discovery."""
+    """The BFS layers of the distinct products of at most max_len steps
+    over field (None for Q), one {tuple: mask} dict per read in discovery
+    order, from {identity: 0}; each mask is the one of the first discovery.
+    The walk stops at max_len or at the first empty layer (a finite group).
+
+    steps is closed under inverses, so x s = y gives x = y s^-1: the
+    neighbours of layer k lie in layers k - 1 to k + 1.  So the walk keeps
+    only those three, and layer k + 1 is every product of layer k, in
+    order, less the keys of layers k - 1 and k."""
     m = field.degree if field else 1
     mul = _multiply(field)
     ident = (1, 0, 0, 1) + (0,) * (4 * m - 4) + (1,)
@@ -303,20 +309,22 @@ def _ball(steps, field: NumberField | None, max_len: int):
         k, mask = _kernel(s, m)
         c = (mask | mask >> 2) & 3
         cols.append((k, c | c << 2))
-    ball = {ident: 0}
-    frontier = [ident]
+    prev, layer = {}, {ident: 0}
+    yield layer
     for _ in range(max_len):
-        nxt = []
-        for x in frontier:
-            r = ball[x]
+        nxt = {}
+        add = nxt.setdefault
+        for x, r in layer.items():
             rows = (r & 3 and 3) | (r & 12 and 12)
             for k, c in cols:
-                prod = mul(x, k)
-                if prod not in ball:
-                    ball[prod] = rows | c
-                    nxt.append(prod)
-        frontier = nxt
-    return ball
+                add(mul(x, k), rows | c)
+        for known in (prev, layer):
+            for y in known:
+                nxt.pop(y, None)
+        if not nxt:
+            return
+        yield nxt
+        prev, layer = layer, nxt
 
 
 def _check_max_len(max_len: int):
@@ -337,14 +345,14 @@ def _steps_field(steps):
     return fields.pop() if fields else None
 
 
-def _word_stream(generators, max_len: int):
-    """word_ball as a generator: the ball is walked on kernel tuples up
-    front, and each Matrix is built only when it is reached."""
+def _word_layers(generators, max_len: int):
+    """The BFS layers of word_ball, each an iterator that builds a Matrix
+    only when it is read."""
     _check_max_len(max_len)
     steps = _steps(generators)
     field = _steps_field(steps)
-    for k, mask in _ball(steps, field, max_len).items():
-        yield _matrix(k, mask, field)
+    for layer in _ball(steps, field, max_len):
+        yield (_matrix(k, mask, field) for k, mask in layer.items())
 
 
 def word_ball(generators, max_len: int):
@@ -352,7 +360,7 @@ def word_ball(generators, max_len: int):
     discovery order (deterministic for a fixed generator order), multiplied
     as kernel tuples.  An entry is a FieldElement exactly where the Matrix
     product would make one."""
-    return list(_word_stream(generators, max_len))
+    return [g for layer in _word_layers(generators, max_len) for g in layer]
 
 
 def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
@@ -360,7 +368,9 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
 
     The generators get displacement()'s checks.  Products of determinant-1
     elements of Z[1/s, gamma] are again such elements (gamma^k reduces with
-    integer coefficients), so the ball needs no further check."""
+    integer coefficients), so the ball needs no further check.  The ball is
+    read one _ball layer at a time and never held whole; a finite group
+    stops at its first empty layer, whatever max_len is."""
     _check_max_len(max_len)
     ring = group.ring
     for g in group.generators:
@@ -373,21 +383,22 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
         emb = group.embedding
     tree_ok = {}
     found = set()
-    for k, mask in _ball(_steps(group.generators), field, max_len).items():
-        D = k[-1]
-        ok = tree_ok.get(D)
-        if ok is None:
-            ok = tree_ok[D] = all(t < C for t in _tree_moves(D, primes))
-        if not ok:
-            continue
-        if field is None:
-            a, b, c, d, D = k
-            if bound.below(a * a + b * b + c * c + d * d, D * D):
-                found.add(_matrix(k))
-        else:
-            g = _matrix(k, mask, field)
-            if _displacement_hyp(g, emb) < C:
-                found.add(g)
+    for layer in _ball(_steps(group.generators), field, max_len):
+        for k, mask in layer.items():
+            D = k[-1]
+            ok = tree_ok.get(D)
+            if ok is None:
+                ok = tree_ok[D] = all(t < C for t in _tree_moves(D, primes))
+            if not ok:
+                continue
+            if field is None:
+                a, b, c, d, D = k
+                if bound.below(a * a + b * b + c * c + d * d, D * D):
+                    found.add(_matrix(k))
+            else:
+                g = _matrix(k, mask, field)
+                if _displacement_hyp(g, emb) < C:
+                    found.add(g)
     return found
 
 

@@ -18,7 +18,11 @@ coordinates of g g_i.  The system is linear in g, so TraceBasis finds them
 once per matrix unit E_ab, from one inverse of the 4x4 matrix of basis
 entries, and alpha(g) is sum g_ab * alpha(E_ab).  The Gram matrix only
 reports the basis, which select_basis chooses by linear independence of
-the entries.  Rep4 wraps alpha and caches nothing.
+the entries.  On a word ball it reads one BFS layer at a time and stops
+after the first layer that raises no rank: that layer leaves the span of
+the ball closed under every generator, so no later one can raise it, and
+the radius-3 ball is the most it ever reads.  Rep4 wraps alpha and caches
+nothing.
 
 Over Q the layer runs on integers.  TraceBasis also keeps the four tables
 as int numerators over one denominator, so alpha(g) of a rational g costs
@@ -110,16 +114,30 @@ def select_basis(words) -> TraceBasis:
     functionals of the whole stream span a proper subspace (e.g.
     all-diagonal input).
     """
+    return _select_layered((words,))
+
+
+def _select_layered(layers) -> TraceBasis:
+    """select_basis over a stream read in layers, which stops after the
+    first layer that raises no rank.  On the BFS layers of a word ball that
+    loses nothing: with A_k the span of the radius-k ball, A_(k+1) = A_k +
+    sum_s A_k s, so a layer that leaves the span unchanged leaves it closed
+    under every step.  The rank starts at 1 (the identity), so at most the
+    radius-3 ball is read."""
     chosen, rows = [], []
-    for g in words:
-        if not isinstance(g, Matrix) or g.n != 2:
-            raise ValueError("stream must yield 2x2 matrices")
-        row = g.rows[0] + g.rows[1]
-        if rank(rows + [row]) > len(rows):
-            chosen.append(g)
-            rows.append(row)
-            if len(chosen) == 4:
-                return TraceBasis(chosen)
+    for layer in layers:
+        before = len(chosen)
+        for g in layer:
+            if not isinstance(g, Matrix) or g.n != 2:
+                raise ValueError("stream must yield 2x2 matrices")
+            row = g.rows[0] + g.rows[1]
+            if rank(rows + [row]) > len(rows):
+                chosen.append(g)
+                rows.append(row)
+                if len(chosen) == 4:
+                    return TraceBasis(chosen)
+        if len(chosen) == before:
+            break
     raise RankDeficientError(
         f"stream exhausted with trace rank {len(chosen)} < 4")
 

@@ -354,6 +354,17 @@ def test_check_proper_contained(capsys):
     assert doc["result"]["enum_count"] == 20
 
 
+def test_check_proper_finite_group_stops_at_its_first_empty_layer(capsys):
+    # <S> has four elements, so layer 3 is empty and the walk ends there
+    group = '{"generators": [[["0","-1"],["1","0"]]]}'
+    outs = [run(["check-proper", "--group", group, "--C", "1",
+                 "--max-len", max_len], capsys)
+            for max_len in ("3", "1000000000000000000")]
+    assert outs[0] == outs[1]
+    rc, out = outs[1]
+    assert rc == 0 and json.loads(out)["result"]["word_count"] == 4
+
+
 def test_check_proper_violation_exit_3(capsys, monkeypatch):
     real = cli.properness_check
     bogus = mat([[1, 50], [0, 1]])
@@ -453,6 +464,18 @@ def test_embed_cyclic_group_reports_the_trace_rank(capsys):
     assert json.loads(out)["result"] == {
         "code": "RankDeficient",
         "message": "stream exhausted with trace rank 2 < 4"}
+
+
+def test_embed_refuses_an_upper_triangular_group_after_three_layers(capsys):
+    # I, T, diag(2, 1/2) span the upper triangular matrices, and layer 2
+    # adds nothing to them, so the search stops there whatever --ball is
+    upper = ('{"generators": [[["1","1"],["0","1"]], '
+             '[["2","0"],["0","1/2"]]]}')
+    rc, out = run(["embed", "--group", upper, "--ball", "1000000"], capsys)
+    assert rc == 2
+    assert json.loads(out)["result"] == {
+        "code": "RankDeficient",
+        "message": "stream exhausted with trace rank 3 < 4"}
 
 
 @pytest.mark.parametrize("argv", [

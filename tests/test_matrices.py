@@ -40,6 +40,8 @@ def test_identity_and_product():
     assert i2 * m == m
     assert m * m == mat([[1, 2], [0, 1]])
     assert m.inverse() == mat([[1, -1], [0, 1]])
+    # int entries stay exact: int / int would be a float
+    assert repr(Matrix(((1, 2), (3, 4))).inverse()) == "Matrix[-2, 1; 3/2, -1/2]"
 
 
 def test_det_examples():
@@ -250,6 +252,8 @@ def test_linear_solve_unique():
                         [Fraction(1), Fraction(3)]],
                        [Fraction(5), Fraction(10)])
     assert sol == [Fraction(1), Fraction(3)]
+    sol = linear_solve([[3]], [1])  # an int pivot divides exactly
+    assert sol == [Fraction(1, 3)] and type(sol[0]) is Fraction
 
 
 def test_linear_solve_inconsistent_and_free():
@@ -273,6 +277,8 @@ def test_rank():
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
     assert rank([]) == 0
+    # in floats 1 - (10^17 + 1)/10^17 rounds to 0 and the rank reads 1
+    assert rank([[10 ** 17, 1], [10 ** 17 + 1, 1]]) == 2
 
 
 ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

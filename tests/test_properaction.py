@@ -102,6 +102,10 @@ def test_word_ball_growth():
     assert set(b1) <= set(b2)
     assert b1[0].is_identity()
     assert len(b1) == 5  # I, S, T, S^-1, T^-1
+    # S has order 4: the walk stops at its first empty layer, layer 3
+    assert word_ball([S], 10 ** 18) == word_ball([S], 2) == [
+        Matrix.identity(2), S, -S, -Matrix.identity(2)]
+    assert len(word_bfs(make_group([S]), 10 ** 18, 1.0)) == 4
 
 
 def test_negative_max_len_refused(monkeypatch):

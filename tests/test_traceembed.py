@@ -11,6 +11,8 @@ from sl2kit import (DetNotOneError, FieldElement, Matrix, RankDeficientError,
                     Rep4, TraceBasis, alpha, integral_characteristic,
                     make_field, mat, reconstruct, select_basis,
                     verify_embedding, word_ball)
+from sl2kit.properaction import _word_layers
+from sl2kit.traceembed import _select_layered
 
 S = mat([[0, -1], [1, 0]])
 T = mat([[1, 1], [0, 1]])
@@ -87,13 +89,14 @@ def _trace_of_product(a, b):
                Fraction(0))
 
 
-def _check_against_rank_oracle(stream):
-    """select_basis keeps exactly the first four elements whose entries
-    raise the rank (by minors), and refuses with the rank of the whole
-    stream when it is below 4."""
+def _check_against_rank_oracle(stream, choose=None):
+    """choose() (by default select_basis(stream)) keeps exactly the first
+    four elements of stream whose entries raise the rank (by minors), and
+    refuses with the rank of the whole stream when it is below 4."""
+    choose = choose or (lambda: select_basis(stream))
     kept = first_independent(stream)
     if len(kept) == 4:
-        basis = select_basis(stream)
+        basis = choose()
         assert basis.elements == tuple(kept)
         assert basis.gram == Matrix(tuple(
             tuple(_trace_of_product(a, b) for b in kept) for a in kept))
@@ -102,7 +105,7 @@ def _check_against_rank_oracle(stream):
                             for g in stream])
     assert total == len(kept) < 4
     with pytest.raises(RankDeficientError) as info:
-        select_basis(stream)
+        choose()
     assert str(info.value) == f"stream exhausted with trace rank {total} < 4"
     return False
 
@@ -117,19 +120,38 @@ def test_select_basis_matches_the_rank_oracle_on_random_streams():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("gens", [
-    [S, T], [T, S], [T, L], [L, S], [S, T, HALF], [HALF, S, T],
-    [T, HALF, L], [HALF, T, L], [T], [HALF],
-    [_unipotent([1, 0, 1]), S], [S, _unipotent([1, 0, 1])],
-    [_unipotent([1, 1, 1]), S], [S, _unipotent([1, 1, 1])],
-], ids=["S,T", "T,S", "T,L", "L,S", "S,T,D", "D,S,T", "T,D,L", "D,T,L",
-        "T", "D", "U(i),S", "S,U(i)", "U(w),S", "S,U(w)"])
-@pytest.mark.parametrize("radius", [1, 2, 3])
-def test_select_basis_matches_the_rank_oracle_on_word_balls(gens, radius):
-    # one generator spans at most I and g; at radius 1 two generators give
-    # I, a, b, a^-1, b^-1, and each inverse here is tr(g) I - g
-    full = len(gens) > 2 or len(gens) == 2 and radius > 1
-    assert _check_against_rank_oracle(matrix_word_ball(gens, radius)) == full
+# name -> (generators, the least radius whose ball spans M_2, or None when
+# no ball does).  One generator spans at most I and g; at radius 1 two
+# generators give I, a, b, a^-1, b^-1, and each inverse here is tr(g) I - g.
+# <S> is finite: I, S, -I, -S.
+BALL_CASES = {
+    "S,T": ([S, T], 2), "T,S": ([T, S], 2), "T,L": ([T, L], 2),
+    "L,S": ([L, S], 2), "S,T,D": ([S, T, HALF], 1),
+    "D,S,T": ([HALF, S, T], 1), "T,D,L": ([T, HALF, L], 1),
+    "D,T,L": ([HALF, T, L], 1), "T": ([T], None), "D": ([HALF], None),
+    "U(i),S": ([_unipotent([1, 0, 1]), S], 2),
+    "S,U(i)": ([S, _unipotent([1, 0, 1])], 2),
+    "U(w),S": ([_unipotent([1, 1, 1]), S], 2),
+    "S,U(w)": ([S, _unipotent([1, 1, 1])], 2),
+    "S": ([S], None),
+}
+
+
+@pytest.mark.parametrize("name, radius", [
+    pytest.param(name, radius, id=f"{radius}-{name}")
+    for radius in range(1, 7) for name, (gens, _) in BALL_CASES.items()
+    # the Matrix oracle walks 4,424 to 13,300 elements for three
+    # generators at radius 6
+    if radius < 6 or len(gens) < 3])
+def test_select_basis_matches_the_rank_oracle_on_word_balls(name, radius):
+    gens, least = BALL_CASES[name]
+    full = least is not None and radius >= least
+    ball = matrix_word_ball(gens, radius)
+    assert _check_against_rank_oracle(ball) == full
+    # the search of CLI embed reads the walker's layers and stops after the
+    # first one that raises no rank; it answers as the whole ball does
+    assert _check_against_rank_oracle(ball, lambda: _select_layered(
+        _word_layers(gens, radius))) == full
 
 
 def test_select_basis_takes_a_parabolic_after_the_identity():
