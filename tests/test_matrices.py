@@ -41,7 +41,8 @@ def test_identity_and_product():
     assert m * m == mat([[1, 2], [0, 1]])
     assert m.inverse() == mat([[1, -1], [0, 1]])
     # int entries stay exact: int / int would be a float
-    assert repr(Matrix(((1, 2), (3, 4))).inverse()) == "Matrix[-2, 1; 3/2, -1/2]"
+    assert repr(Matrix(((1, 2), (3, 4))).inverse()) == \
+        "Matrix[-2, 1; 3/2, -1/2]"
 
 
 def test_det_examples():
