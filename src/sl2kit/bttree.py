@@ -35,7 +35,7 @@ from .errors import SingularError
 from .matrices import Immutable, Matrix, mat
 from .numberfield import FieldElement, NumberField
 from .valuations import (INF, ExtendedValuation, PAdicValuation, _frac_val,
-                         extend)
+                         _int_val, extend)
 
 
 class TreeContext(Immutable):
@@ -164,8 +164,31 @@ def _reduce_fraction(b: Fraction, n: int, p: int) -> Fraction:
 def _reduce_offset(b, n: int, ctx: TreeContext):
     if ctx.field is None:
         return _reduce_fraction(b, n, ctx.p)
-    return ctx.field.element(tuple(_reduce_fraction(c, n, ctx.p)
-                                   for c in b.coeffs))
+    return _reduce_element(b, n, ctx.p)
+
+
+def _reduce_element(b: FieldElement, n: int, p: int) -> FieldElement:
+    """_reduce_fraction on each coefficient c / D of b, on the ints: with
+    D = p^e u (u prime to p) and c = p^a c' (c' prime to p), c / D is
+    p^(a - e) c' / u; its representative is 0 when a - e >= n, else
+    m p^(a - e) with m = c' u^-1 mod p^(n - a + e), prime to p.  Over the
+    common denominator p^E, E = max(0, e - a), the numerators have gcd 1
+    with it (the coefficient of least valuation is a unit times p^-E)."""
+    e = _int_val(b._den, p)
+    u = b._den // p ** e
+    reduced = []
+    for c in b._nums:
+        if c:
+            a = _int_val(c, p)
+            v = a - e
+            if v < n:
+                mod = p ** (n - v)
+                reduced.append(((c // p ** a) * pow(u, -1, mod) % mod, v))
+                continue
+        reduced.append((0, 0))
+    E = max(0, -min(v for _, v in reduced))
+    return FieldElement(b.field, tuple([m * p ** (v + E) for m, v in reduced]),
+                        p ** E)
 
 
 def canonicalize(m: Matrix, ctx: TreeContext) -> TreeVertex:

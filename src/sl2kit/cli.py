@@ -14,7 +14,7 @@ serialization module.  Floats are printed with 12 significant digits.
 The enumeration candidate budget can be capped with the environment
 variable SL2KIT_ENUM_BUDGET or per call with --budget.  tree-ball refuses a
 ball of more than 10^5 vertices, counted before it is walked, and embed
-takes at most 10^4 --samples.
+takes at most 10^4 --samples and samples at most 10^5 letters in all.
 """
 
 from __future__ import annotations
@@ -199,6 +199,9 @@ def _random_words(generators, count, max_len, seed):
     return out
 
 
+_LETTER_LIMIT = 10 ** 5  # embed: sampled words times their longest length
+
+
 def _cmd_embed(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
@@ -208,9 +211,16 @@ def _cmd_embed(args):
         raise ValueError("--ball must be nonnegative")
     group = parse_group(_load_json(args.group, "--group"))
     basis = _select_layered(_word_layers(group.generators, args.ball))
+    # after the basis search, which is bounded at any --ball, so that a
+    # group with no basis is refused as such
+    max_len = max(2 * args.ball, 4)
+    if args.samples * max_len > _LETTER_LIMIT:
+        raise ValueError(
+            f"--samples * max(2 * --ball, 4) must be at most {_LETTER_LIMIT} "
+            f"sampled letters, got {args.samples * max_len}")
     rep = Rep4(basis)
-    samples = _random_words(group.generators, args.samples,
-                            max(2 * args.ball, 4), args.seed)
+    samples = _random_words(group.generators, args.samples, max_len,
+                            args.seed)
     checks = verify_embedding(rep, samples)
     result = {
         "basis": [encode_matrix(m) for m in basis.elements],
@@ -366,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word-ball radius searched for the basis (the "
                         "search stops at the first layer that raises no "
                         "rank, so it reads at most the radius-3 ball); "
-                        "sampled words have up to max(2*BALL, 4) letters")
+                        "sampled words have up to max(2*BALL, 4) letters, "
+                        "and SAMPLES times that is at most 100000")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled words")
 

@@ -92,10 +92,17 @@ class ArchimedeanEmbedding(Immutable):
                 if x.is_rational:
                     return complex(x.as_fraction())
                 raise ValueError("element does not belong to the embedded field")
-            return _horner(x.coeffs, self.root)
+            return self.image(x._nums, x._den)
         if isinstance(x, (int, Fraction)):
             return complex(x)
         raise TypeError(f"cannot embed {type(x).__name__}")
+
+    def image(self, nums, den: int) -> complex:
+        """The image of sum_r nums[r] gamma^r / den (ints, den > 0): Horner
+        at the root over the floats nums[r] / den.  Int true division is
+        correctly rounded, as float(Fraction) is, so this is the same float
+        computation as on the Fraction coefficients, bit for bit."""
+        return _horner([n / den for n in nums], self.root)
 
     def __repr__(self):
         if self.field is None:
@@ -190,10 +197,21 @@ def _displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None,
 
     An embedded entry or sum of squares beyond float range raises
     UnsupportedError rather than OverflowError or an infinite distance."""
+    return _hyp_of_images(_matrix_images, g, emb, check_det)
+
+
+def _matrix_images(g: Matrix, emb, check_det: bool):
+    (a, b), (c, d) = embed_matrix(g, emb)
+    if check_det:
+        _check_det_one(a, b, c, d)
+    return a, b, c, d
+
+
+def _hyp_of_images(images, *args) -> float:
+    """arccosh(sum |x|^2 / 2) over the four complex entries images(*args);
+    an overflow in images or in the sum raises UnsupportedError."""
     try:
-        (a, b), (c, d) = embed_matrix(g, emb)
-        if check_det:
-            _check_det_one(a, b, c, d)
+        a, b, c, d = images(*args)
         s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
     except OverflowError:
         s = math.inf

@@ -1,10 +1,15 @@
 """Exact arithmetic in small number fields Q(gamma).
 
 A field is declared by a monic integer polynomial of degree 1..4 that is
-irreducible over Q; ``gamma`` denotes a root.  Elements are stored as tuples
-of Fractions (c_0, ..., c_{m-1}) meaning c_0 + c_1*gamma + ... in the power
-basis, and every operation is exact; products and inverses read the
-field's table of integer structure constants (NumberField._terms).
+irreducible over Q; ``gamma`` denotes a root.  An element c_0 + c_1*gamma
++ ... in the power basis is stored as the int numerators (n_0, ..., n_{m-1})
+of its coefficients over one denominator D > 0, with gcd 1 over all of
+them, so c_r = n_r / D and equal elements have equal ints; the coefficients
+as Fractions (``coeffs``) are built only when read.  Every operation is
+exact and runs on ints: a product is the field's table of integer structure
+constants (NumberField._terms) on the numerators over the product of the
+denominators, an inverse solves the m x m system of that table fraction-free
+(Bareiss), and each result is divided by one gcd.
 Irreducibility for these degrees is decided by the rational-root test plus,
 for quartics, an exhaustive search for integer quadratic factors (Gauss's
 lemma makes that complete for monic integer polynomials).
@@ -17,7 +22,7 @@ and hashes equal to the corresponding Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import NotMonicError, ReducibleError
 from .matrices import Immutable, linear_solve
@@ -152,14 +157,21 @@ class NumberField(Immutable):
 
     def element(self, coeffs) -> "FieldElement":
         """Element from rational coefficients; short tuples are zero-padded."""
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+              for c in coeffs]
         if len(cs) > self.degree:
             raise ValueError("too many coefficients for this field")
-        cs = cs + tuple(Fraction(0) for _ in range(self.degree - len(cs)))
-        return FieldElement(self, cs)
+        # each Fraction is reduced, so over the lcm of the denominators the
+        # numerators have gcd 1 with it
+        den = lcm(*[c.denominator for c in cs])
+        return FieldElement(self, tuple(
+            [c.numerator * (den // c.denominator) for c in cs]
+            + [0] * (self.degree - len(cs))), den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element((Fraction(q),))
+        q = q if type(q) is int else Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -184,22 +196,72 @@ class NumberField(Immutable):
         return f"NumberField({_poly_str(self.minpoly)})"
 
 
-class FieldElement(Immutable):
-    __slots__ = ("field", "coeffs")
+def _normal(field: NumberField, nums, den: int) -> "FieldElement":
+    """The element sum_r nums[r] gamma^r / den for ints over den > 0,
+    divided by the gcd of them all."""
+    if den != 1:
+        g = gcd(*nums, den)
+        if g != 1:
+            return FieldElement(field, tuple([n // g for n in nums]), den // g)
+    return FieldElement(field, tuple(nums), den)
 
-    def __init__(self, field: NumberField, coeffs):
+
+def _solve_fraction_free(rows, m: int):
+    """(d, z) with z / d the solution of the int m x (m + 1) augmented
+    system rows, of full rank: Gauss-Jordan with Bareiss's divisions by the
+    previous pivot, which are exact, so every entry stays an int and every
+    pivot ends as d (Bareiss, Math. Comp. 22, 1968)."""
+    prev = 1
+    for k in range(m):
+        if not rows[k][k]:
+            i = next(i for i in range(k + 1, m) if rows[i][k])
+            rows[k], rows[i] = rows[i], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot_row)]
+        prev = pivot
+    return prev, [row[m] for row in rows]
+
+
+class FieldElement(Immutable):
+    """sum_r nums[r] gamma^r / den, stored as the int numerators _nums over
+    one denominator _den > 0 with gcd 1, so that equal elements have equal
+    (_nums, _den).  The constructor trusts that form; build elements with
+    NumberField.element() or from_rational()."""
+
+    __slots__ = ("field", "_nums", "_den", "_coeffs")
+
+    def __init__(self, field: NumberField, nums, den: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions, built on first read."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = tuple([Fraction(n, den) for n in self._nums])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- coercion ---------------------------------------------------------
 
     def _lift(self, other):
         """Bring ``other`` into this field, or return None if impossible."""
         if isinstance(other, FieldElement):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return other
             if other.is_rational:
-                return self.field.from_rational(other.coeffs[0])
+                return FieldElement(self.field, other._nums[:1]
+                                    + (0,) * (self.field.degree - 1),
+                                    other._den)
             return None
         if isinstance(other, bool) or isinstance(other, float):
             return None
@@ -209,12 +271,12 @@ class FieldElement(Immutable):
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -222,8 +284,11 @@ class FieldElement(Immutable):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, da, b, db = self._nums, self._den, o._nums, o._den
+        if da == db:
+            return _normal(self.field, [x + y for x, y in zip(a, b)], da)
+        return _normal(self.field, [x * db + y * da for x, y in zip(a, b)],
+                       da * db)
 
     __radd__ = __add__
 
@@ -231,8 +296,11 @@ class FieldElement(Immutable):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, da, b, db = self._nums, self._den, o._nums, o._den
+        if da == db:
+            return _normal(self.field, [x - y for x, y in zip(a, b)], da)
+        return _normal(self.field, [x * db - y * da for x, y in zip(a, b)],
+                       da * db)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -241,34 +309,36 @@ class FieldElement(Immutable):
         return o.__sub__(self)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple([-a for a in self._nums]),
+                            self._den)
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = [Fraction(0)] * self.field.degree
+        a, b = self._nums, o._nums
+        out = [0] * len(a)
         for r, s, t, w in self.field._terms:
             x, y = a[s], b[t]
             if x and y:
                 out[r] += x * y if w == 1 else w * x * y
-        return FieldElement(self.field, tuple(out))
+        return _normal(self.field, out, self._den * o._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("division by zero in number field")
-        m = self.field.degree
-        # row r, column t: the gamma^r coefficient of x * gamma^t
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        a, m = self._nums, self.field.degree
+        # row r, column t: the gamma^r coefficient of a * gamma^t for the
+        # int element a = self * den, with e_0 appended; then a^-1 = z / d
+        # and self^-1 = den * z / d
+        rows = [[0] * m + [int(r == 0)] for r in range(m)]
         for r, s, t, w in self.field._terms:
-            rows[r][t] += w * self.coeffs[s]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(m)]
-        sol = linear_solve(rows, rhs)
-        assert sol is not None  # nonzero elements of a field are invertible
-        return FieldElement(self.field, tuple(sol))
+            rows[r][t] += w * a[s]
+        d, z = _solve_fraction_free(rows, m)
+        den = self._den if d > 0 else -self._den
+        return _normal(self.field, [den * n for n in z], abs(d))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -297,24 +367,27 @@ class FieldElement(Immutable):
     # -- comparisons ------------------------------------------------------
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            if other.field == self.field:
-                return self.coeffs == other.coeffs
+            if other.field is self.field or other.field == self.field:
+                return self._den == other._den and self._nums == other._nums
             if self.is_rational and other.is_rational:
-                return self.coeffs[0] == other.coeffs[0]
+                return (self._den == other._den
+                        and self._nums[0] == other._nums[0])
             return False
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.is_rational and self.coeffs[0] == other
+            return (self.is_rational and self._den == other.denominator
+                    and self._nums[0] == other.numerator)
         return NotImplemented
 
     def __hash__(self):
         # rational-valued elements hash like their Fraction so mixed-type
         # matrices stay hash-consistent with their Fraction twins
         if self.is_rational:
-            return hash(self.coeffs[0])
+            n = self._nums[0]
+            return hash(n if self._den == 1 else Fraction(n, self._den))
         return hash((self.field.minpoly, self.coeffs))
 
     def __repr__(self):

@@ -24,13 +24,14 @@ arccosh(N / (2 D^2)), N = a^2 + b^2 + c^2 + d^2, and hyperbolic._HypBound
 decides hyp < C as N < 2 cosh(C) D^2 exactly (float cut points, then
 decimal arithmetic at rising precision; 2 cosh C is transcendental for
 rational C > 0, so there are no ties).  Over a field it is decided in
-floats by the unchecked core of hyperbolic.displacement_hyp on the Matrix:
-determinant 1 is proved exactly, so there is no float re-check to fail on
+floats, as hyperbolic.displacement_hyp decides it on the Matrix, from
+complex images read off the tuple: Horner at the root over n_(e,r) / D,
+which are the correctly rounded floats of the Fraction coefficients.
+Determinant 1 is proved exactly, so there is no float re-check to fail on
 large entries, and a value beyond float range raises UnsupportedError.  A
-Matrix is built only for an element that is returned or needs that float
-value; a 4-bit mask beside each tuple (bit 2i + j for entry (i, j)) records
-which entries are FieldElements, so it gets the entry types a Matrix
-product would.
+Matrix is built only for an element that is returned; a 4-bit mask beside
+each tuple (bit 2i + j for entry (i, j)) records which entries are
+FieldElements, so it gets the entry types a Matrix product would.
 
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
@@ -64,9 +65,9 @@ from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
 from .hyperbolic import (ArchimedeanEmbedding, _displacement_hyp, _HypBound,
-                         _hyp_value)
+                         _hyp_of_images, _hyp_value)
 from .matrices import Immutable, Matrix
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, _normal
 from .valuations import _int_val, _prime_factors
 
 DEFAULT_BUDGET = 10_000_000
@@ -89,9 +90,10 @@ class Ring(Immutable):
 
 
 def _denominator(g: Matrix) -> int:
-    """The lcm of the denominators of every (power-basis) coefficient."""
-    return math.lcm(*(c.denominator for row in g.rows for x in row for c in
-                      (x.coeffs if isinstance(x, FieldElement) else (x,))))
+    """The lcm of the denominators of every (power-basis) coefficient; a
+    FieldElement's own denominator is the lcm of its coefficients'."""
+    return math.lcm(*(x._den if isinstance(x, FieldElement) else x.denominator
+                      for row in g.rows for x in row))
 
 
 def ring_detect(generators, field: NumberField | None = None) -> Ring:
@@ -208,15 +210,15 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
 def _kernel(g: Matrix, m: int):
     """(tuple, mask) of g over a field of degree m (1 for Q);
     D = _denominator(g) leaves the gcd 1."""
-    D, coeffs, mask = _denominator(g), [], 0
+    D, nums, mask = _denominator(g), [], 0
     for e, x in enumerate(x for row in g.rows for x in row):
         if isinstance(x, FieldElement):
             mask |= 1 << e
-            coeffs.append(x.coeffs)
+            scale = D // x._den
+            nums.append([n * scale for n in x._nums])
         else:
-            coeffs.append((x,) + (0,) * (m - 1))
-    return tuple([cs[r].numerator * (D // cs[r].denominator)
-                  for r in range(m) for cs in coeffs] + [D]), mask
+            nums.append([x.numerator * (D // x.denominator)] + [0] * (m - 1))
+    return tuple([ns[r] for r in range(m) for ns in nums] + [D]), mask
 
 
 def _matrix(k, mask: int = 0, field: NumberField | None = None) -> Matrix:
@@ -228,8 +230,7 @@ def _matrix(k, mask: int = 0, field: NumberField | None = None) -> Matrix:
     if mask:
         for i in range(4):
             if mask >> i & 1:
-                e[i] = FieldElement(
-                    field, tuple([Fraction(c, D) for c in k[i:-1:4]]))
+                e[i] = _normal(field, k[i:-1:4], D)
     return Matrix(((e[0], e[1]), (e[2], e[3])))
 
 
@@ -395,11 +396,19 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
                 a, b, c, d, D = k
                 if bound.below(a * a + b * b + c * c + d * d, D * D):
                     found.add(_matrix(k))
-            else:
-                g = _matrix(k, mask, field)
-                if _displacement_hyp(g, emb) < C:
-                    found.add(g)
+            elif _hyp_of_images(_kernel_images, k, mask, emb) < C:
+                found.add(_matrix(k, mask, field))
     return found
+
+
+def _kernel_images(k, mask: int, emb: ArchimedeanEmbedding):
+    """The four complex entries of a kernel tuple under emb, as those of
+    _matrix(k, mask) embed: n / D for a rational entry (complex of a
+    Fraction is its correctly rounded float), emb.image of the numerators
+    for a FieldElement one."""
+    D = k[-1]
+    return [emb.image(k[e:-1:4], D) if mask >> e & 1 else complex(k[e] / D)
+            for e in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,15 @@ def integral_characteristic(g: Matrix) -> bool:
 
 class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
-    2x2 matrix space, their Gram matrix tr(g_i g_k) (reported only), and
-    the images alpha(E_ab) of the matrix units E_00, E_01, E_10, E_11.
+    2x2 matrix space, their Gram matrix tr(g_i g_k) (reported only), the
+    images alpha(E_ab) of the matrix units E_00, E_01, E_10, E_11, and the
+    inverse of g_1, which reconstruct() divides by on every sample.
 
     Linearly dependent elements raise RankDeficientError; independent ones
     have det Gram = -det(V)^2 != 0, V the 4x4 matrix of their entries.  The
     tables are all FieldElements when an element holds one."""
 
-    __slots__ = ("elements", "gram", "tables", "_ints")
+    __slots__ = ("elements", "gram", "tables", "_ints", "_first_inverse")
 
     def __init__(self, elements):
         elements = tuple(elements)
@@ -98,6 +99,7 @@ class TraceBasis(Immutable):
             tuple((a * b).trace() for b in elements) for a in elements)))
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_first_inverse", elements[0].inverse())
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
@@ -176,7 +178,7 @@ def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
     for j, gj in enumerate(basis.elements):
         term = m4[j, 0] * gj
         combo = term if combo is None else combo + term
-    return combo * basis.elements[0].inverse()
+    return combo * basis._first_inverse
 
 
 class Rep4:

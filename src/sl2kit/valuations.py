@@ -278,7 +278,11 @@ class ExtendedValuation(Immutable):
             return self.base(x)
         if not isinstance(x, FieldElement) or x.field != self.field:
             raise TypeError("expected an element of the declared field")
-        return min(self.base(c) for c in x.coeffs)
+        nums = [n for n in x._nums if n]
+        if not nums:
+            return INF
+        p = self.base.p
+        return min(_int_val(n, p) for n in nums) - _int_val(x._den, p)
 
     def __repr__(self):
         return f"ExtendedValuation(p={self.p}, field={self.field!r})"

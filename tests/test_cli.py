@@ -507,6 +507,29 @@ def test_embed_samples_upper_bound(capsys):
         "code": "Usage", "message": "--samples must be at most 10000"}
 
 
+@pytest.mark.parametrize("samples, ball, letters", [
+    ("1000", "1000", 2000000), ("100", "501", 100200), ("10000", "6", 120000),
+    ("1", "50001", 100002), ("25001", "0", None)])
+def test_embed_sampled_letters_upper_bound(capsys, samples, ball, letters):
+    # words have up to max(2 * --ball, 4) letters; 10^5 letters in all
+    rc, out = run(["embed", "--group", SL2Z, "--samples", samples,
+                   "--ball", ball], capsys)
+    assert rc == 1
+    message = json.loads(out)["result"]["message"]
+    if letters is None:  # the --samples bound comes first
+        assert message == "--samples must be at most 10000"
+    else:
+        assert message == (f"--samples * max(2 * --ball, 4) must be at most "
+                           f"100000 sampled letters, got {letters}")
+
+
+def test_embed_sampled_letters_bound_is_inclusive(capsys):
+    # one sample is the identity word, so 1 * 2 * 50000 letters run fast
+    rc, out = run(["embed", "--group", SL2Z, "--samples", "1",
+                   "--ball", "50000"], capsys)
+    assert rc == 0 and json.loads(out)["result"]["checks"]["ok"] is True
+
+
 def test_check_integral_golden(capsys):
     expect = ('{"diagnostics": [], "result": {"integral": true, '
               '"trace_minpoly": ["-2", "1"]}, "status": "ok"}\n')

@@ -1,14 +1,17 @@
 """Exact number-field arithmetic, minimal polynomials, integrality."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import poly_mulmod
 
-from sl2kit import (FieldElement, NotMonicError, ReducibleError,
-                    UnsupportedError, is_algebraic_integer, make_field,
-                    minimal_polynomial)
+from sl2kit import (ArchimedeanEmbedding, FieldElement, NotMonicError,
+                    ReducibleError, UnsupportedError, is_algebraic_integer,
+                    make_field, minimal_polynomial)
 
 
 def test_make_field_degree_two():
@@ -249,3 +252,50 @@ def test_field_element_repr_is_stable():
     k = make_field([-5, 0, 1])
     assert isinstance(repr(k.gamma() / 2 + 1), str)
     assert isinstance(k.gamma(), FieldElement)
+
+
+INT_FIELDS = [[1, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [2, 1, 0, 3, 1]]
+_rationals = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 4).filter(lambda q: abs(q) < 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 20)))
+
+
+def _horner_over_fractions(coeffs, z):
+    # the float rule of the embedding, written out: from the top
+    # coefficient down, acc * z + complex(c) on the Fractions
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + complex(c)
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(INT_FIELDS), st.lists(_rationals, min_size=4,
+                                            max_size=4),
+       st.lists(_rationals, min_size=4, max_size=4))
+def test_int_representation(minpoly, a, b):
+    k = make_field(minpoly)
+    a, b = a[:k.degree], b[:k.degree]
+    x, y = k.element(a), k.element(b)
+    for z in (x, y, x * y, x + y, x - y, -x):
+        nums, den = z._nums, z._den
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in nums) and len(nums) == k.degree
+        assert math.gcd(*nums, den) == 1
+        assert z.coeffs == tuple(Fraction(n, den) for n in nums)
+    assert (x * y).coeffs == poly_mulmod(minpoly, a, b)
+    if x:
+        inv = x.inverse()
+        assert math.gcd(*inv._nums, inv._den) == 1 and inv._den > 0
+        assert x * inv == 1 and (x * inv).coeffs == (1,) + (0,) * (k.degree - 1)
+    q = k.from_rational(a[0])
+    assert hash(q) == hash(Fraction(a[0])) and q == a[0]
+    if not x.is_rational:
+        assert hash(x) == hash((k.minpoly, tuple(Fraction(c) for c in a)))
+    for idx in range(k.degree):
+        emb = ArchimedeanEmbedding(k, root_index=idx)
+        for z in (x, y, x * y):
+            got, want = emb(z), _horner_over_fractions(z.coeffs, emb.root)
+            assert type(got) is complex and repr(got) == repr(want)

@@ -516,3 +516,45 @@ def test_field_word_bfs_beyond_float_range_is_unsupported():
         word_bfs(group, 1, 5.0)
     with pytest.raises(UnsupportedError):
         displacement(far, group)
+
+
+QW = make_field([1, 1, 1])  # Q(omega), inert at 2
+KERNEL_HYP_GROUPS = [
+    (FIELD_GROUPS[0][0], QI, 3),
+    ([S, mat([[QW.one(), QW.gamma()], [QW.zero(), QW.one()]]), D2,
+      mat([[1, 0], [QW.gamma() / 2, 1]])], QW, 3),
+    (FIELD_GROUPS[1][0], CUBIC, 3),
+]
+
+
+@pytest.mark.parametrize("gens, field, length", KERNEL_HYP_GROUPS)
+def test_field_word_bfs_reads_the_kernel_ints(gens, field, length,
+                                              monkeypatch):
+    # the same set as displacement() on the ball's matrices: the float
+    # images taken from the ints are those of the Matrix, bit for bit, so
+    # even a near-tie cannot split the two
+    group = make_group(gens, field)
+    ball = word_ball(gens, length)
+    profiles = [displacement(g, group) for g in ball]
+    expect = {c: {g for g, prof in zip(ball, profiles) if prof.less_than(c)}
+              for c in (1.0, 2.0, 2.5, 3.5)}
+    built = []
+    matrix = pa._matrix
+
+    def counted(*args):
+        built.append(args)
+        return matrix(*args)
+
+    def forbidden(*args):
+        raise AssertionError("word_bfs embedded a Matrix")
+
+    monkeypatch.setattr(pa, "_matrix", counted)
+    monkeypatch.setattr(pa, "_displacement_hyp", forbidden)
+    for c, want in expect.items():
+        built.clear()
+        got = word_bfs(group, length, c)
+        assert got == want and len(built) == len(got)
+        for g in got:  # entry types as in word_ball
+            h = next(h for h in ball if h == g)
+            assert [type(x) for x in _entries(g)] == \
+                [type(x) for x in _entries(h)]
