@@ -63,6 +63,26 @@ def test_column_operation_invariance():
         assert canonicalize(g * u, c) == v
 
 
+@pytest.mark.parametrize("p, minpoly", [(3, [1, 0, 1]), (2, [1, 1, 1]),
+                                        (7, [-2, 0, 0, 1])])
+def test_field_offsets_reduce_coefficientwise(p, minpoly):
+    # at an inert prime the offset of [[p^n, b], [0, 1]] is reduced one
+    # power-basis coefficient at a time, as the tree over Q reduces it
+    rng = random.Random(p + len(minpoly))
+    k = make_field(minpoly)
+    ck, cq = tree_context(p, k), tree_context(p)
+    for _ in range(60):
+        n = rng.randint(-2, 3)
+        cs = [Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 5, 7, 49]))
+              * Fraction(p) ** rng.randint(-2, 2) for _ in range(k.degree)]
+        v = canonicalize(mat([[k.from_rational(Fraction(p) ** n),
+                               k.element(cs)], [k.zero(), k.one()]]), ck)
+        assert v.n == n
+        assert v.b.coeffs == tuple(
+            canonicalize(mat([[Fraction(p) ** n, c], [0, 1]]), cq).b
+            for c in cs)
+
+
 def test_distance_frozen():
     c = tree_context(2)
     v0 = base_vertex(c)
