@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import floordiv, truediv
 
 from .errors import SingularError
 
@@ -155,38 +156,20 @@ class Matrix(Immutable):
     def charpoly(self) -> tuple:
         """Characteristic polynomial det(xI - A), coefficients constant-first.
 
-        Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_(k+1) = A(M_k + c_k I).
-        A rational matrix runs it on the integer numerators of D*A, where
-        every division by k is exact in Z, and rescales by
+        A rational matrix runs _faddeev_leverrier on the integer numerators
+        of D*A, where every division by k is exact in Z, and rescales by
         c_k(A) = c_k(D*A)/D^k; the coefficients are Fractions.  Any other
         matrix runs it on its own entries, so a coefficient is a
         FieldElement exactly where field entries reach it.
         """
         scaled = _int_rows(self.rows)
-        a = self.rows if scaled is None else scaled[1]
-        n = len(a)
-        coeffs_desc = [1]
-        m = a
-        for k in range(1, n + 1):
-            t = m[0][0]
-            for i in range(1, n):
-                t = t + m[i][i]
-            c = -(t / k) if scaled is None else -(t // k)
-            coeffs_desc.append(c)
-            if k < n:
-                # add c*I as Matrix arithmetic would: each off-diagonal
-                # entry gains a zero of c's type, which keeps entry types
-                zero = c - c
-                cols = tuple(zip(*(
-                    [x + c if i == j else x + zero for j, x in enumerate(row)]
-                    for i, row in enumerate(m))))
-                m = [[_dot(r, col) for col in cols] for r in a]
         if scaled is None:
+            coeffs_desc = _faddeev_leverrier(self.rows, truediv)
             coeffs_desc[0] = Fraction(1)
         else:
-            D = scaled[0]
-            coeffs_desc = [Fraction(c, D ** k)
-                           for k, c in enumerate(coeffs_desc)]
+            D, a = scaled
+            coeffs_desc = [Fraction(c, D ** k) for k, c in
+                           enumerate(_faddeev_leverrier(a, floordiv))]
         return tuple(reversed(coeffs_desc))
 
     def is_identity(self) -> bool:
@@ -217,9 +200,46 @@ def _int_rows(rows):
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 return None
-    D = lcm(*[x.denominator for row in rows for x in row])
-    return D, [[x.numerator * (D // x.denominator) for x in row]
-               for row in rows]
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    D = lcm(*[d for row in ratios for _, d in row])
+    return D, [[n * (D // d) for n, d in row] for row in ratios]
+
+
+def _from_int_rows(D, rows) -> "Matrix":
+    """The Matrix of Fractions A for the int rows of D*A: _int_rows undone."""
+    if D == 1:
+        return Matrix(tuple(tuple(map(Fraction, row)) for row in rows))
+    return Matrix(tuple(tuple(Fraction(x, D) for x in row) for row in rows))
+
+
+def _faddeev_leverrier(a, divide):
+    """[1, c_1, ..., c_n], the coefficients of det(xI - A) leading first,
+    for the rows a of A: M_1 = A, c_k = -divide(tr(M_k), k), M_(k+1) =
+    A(M_k + c_k I).  On int rows floordiv is exact and every c_k is an int;
+    truediv serves any exact scalar type.  Only the trace of M_n is read,
+    so only its diagonal is formed."""
+    n = len(a)
+    coeffs_desc = [1]
+    m, diagonal = a, [a[i][i] for i in range(n)]
+    for k in range(1, n + 1):
+        t = diagonal[0]
+        for i in range(1, n):
+            t = t + diagonal[i]
+        c = -divide(t, k)
+        coeffs_desc.append(c)
+        if k < n:
+            # add c*I as Matrix arithmetic would: each off-diagonal entry
+            # gains a zero of c's type, which keeps entry types
+            zero = c - c
+            cols = tuple(zip(*(
+                [x + c if i == j else x + zero for j, x in enumerate(row)]
+                for i, row in enumerate(m))))
+            if k < n - 1:
+                m = [[_dot(r, col) for col in cols] for r in a]
+                diagonal = [m[i][i] for i in range(n)]
+            else:
+                diagonal = [_dot(r, cols[i]) for i, r in enumerate(a)]
+    return coeffs_desc
 
 
 def _row_reduce(aug, ncols):

@@ -21,10 +21,11 @@ and hashes equal to the corresponding Fraction.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import NotMonicError, ReducibleError
+from .errors import NotMonicError, ReducibleError, SingularError
 from .matrices import Immutable, linear_solve
 
 MAX_DEGREE = 4
@@ -207,14 +208,18 @@ def _normal(field: NumberField, nums, den: int) -> "FieldElement":
 
 
 def _solve_fraction_free(rows, m: int):
-    """(d, z) with z / d the solution of the int m x (m + 1) augmented
-    system rows, of full rank: Gauss-Jordan with Bareiss's divisions by the
+    """(d, z) with z / d the solution of the int m x (m + k) augmented
+    system rows, k >= 1 right-hand sides: row i of z holds the k solution
+    entries of unknown i.  Gauss-Jordan with Bareiss's divisions by the
     previous pivot, which are exact, so every entry stays an int and every
-    pivot ends as d (Bareiss, Math. Comp. 22, 1968)."""
+    pivot ends as d = +-det (Bareiss, Math. Comp. 22, 1968).  A singular
+    left block raises SingularError."""
     prev = 1
     for k in range(m):
         if not rows[k][k]:
-            i = next(i for i in range(k + 1, m) if rows[i][k])
+            i = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if i is None:
+                raise SingularError("matrix is singular")
             rows[k], rows[i] = rows[i], rows[k]
         pivot_row = rows[k]
         pivot = pivot_row[k]
@@ -224,7 +229,17 @@ def _solve_fraction_free(rows, m: int):
                 rows[i] = [(pivot * x - f * y) // prev
                            for x, y in zip(rows[i], pivot_row)]
         prev = pivot
-    return prev, [row[m] for row in rows]
+    return prev, [row[m:] for row in rows]
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _signed_hash(n: int, h: int) -> int:
+    """The hash of a rational with numerator n whose absolute value hashes
+    to h; -1 is reserved for errors, so it becomes -2."""
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class FieldElement(Immutable):
@@ -338,7 +353,7 @@ class FieldElement(Immutable):
             rows[r][t] += w * a[s]
         d, z = _solve_fraction_free(rows, m)
         den = self._den if d > 0 else -self._den
-        return _normal(self.field, [den * n for n in z], abs(d))
+        return _normal(self.field, [den * row[0] for row in z], abs(d))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -383,12 +398,22 @@ class FieldElement(Immutable):
         return NotImplemented
 
     def __hash__(self):
-        # rational-valued elements hash like their Fraction so mixed-type
-        # matrices stay hash-consistent with their Fraction twins
+        # hash((minpoly, coeffs)), with each hash(Fraction(n, den)) read off
+        # the ints: the hash of a rational depends only on its value, and is
+        # n * den^-1 modulo the hash modulus unless the modulus divides den.
+        # Rational-valued elements hash like their Fraction so mixed-type
+        # matrices stay hash-consistent with their Fraction twins.
+        nums, den = self._nums, self._den
+        if den % _HASH_MODULUS:
+            inv = pow(den, -1, _HASH_MODULUS)
+            hashes = [_signed_hash(n, abs(n) * inv % _HASH_MODULUS)
+                      for n in nums]
+        else:
+            hashes = [hash(c) for c in self.coeffs]
         if self.is_rational:
-            n = self._nums[0]
-            return hash(n if self._den == 1 else Fraction(n, self._den))
-        return hash((self.field.minpoly, self.coeffs))
+            return hashes[0]
+        # an int in (-modulus, modulus) other than -1 hashes to itself
+        return hash((self.field.minpoly, tuple(hashes)))
 
     def __repr__(self):
         terms = []

@@ -24,27 +24,36 @@ the ball closed under every generator, so no later one can raise it, and
 the radius-3 ball is the most it ever reads.  Rep4 wraps alpha and caches
 nothing.
 
-Over Q the layer runs on integers.  TraceBasis also keeps the four tables
-as int numerators over one denominator, so alpha(g) of a rational g costs
-one integer dot product and one Fraction per entry; Matrix.charpoly runs
-on the numerators of the common-denominator form; and the homomorphism
-check of verify_embedding compares rep(ab) with rep(a) rep(b) by
-cross-multiplied numerators, without forming the 4x4 Fraction product.
-Over Q(gamma) the same formulas run on the entries themselves.
+Over Q the layer runs on integers.  TraceBasis inverts the int numerators
+of V fraction-free (Bareiss, as FieldElement.inverse does) and keeps the
+four tables, and the products g_j g_1^-1 that reconstruct sums, as int
+numerators over one denominator each.  So alpha(g) of a rational g costs
+one integer dot product and one Fraction per entry, and reconstruct one
+integer dot product per entry.  verify_embedding converts each sample and
+each image to numerators once and runs every check on them: sample
+products as integer products, comparisons of fractions by
+cross-multiplication, characteristic polynomials by the integer
+Faddeev-LeVerrier recurrence that Matrix.charpoly runs too, and
+integrality as a common denominator of 1.  Over Q(gamma) the same
+formulas run on the entries themselves.
 
-Everything here is exact.  Entry integrality is measured per element with
-is_algebraic_integer and reported, never assumed.
+Everything here is exact.  Entry integrality is measured per element (by
+is_algebraic_integer off Q) and reported, never assumed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+from operator import floordiv
 
 from .errors import DetNotOneError, RankDeficientError, SingularError
-from .matrices import Immutable, Matrix, _dot, _int_rows, rank
-from .numberfield import FieldElement, is_algebraic_integer
+from .matrices import (Immutable, Matrix, _dot, _faddeev_leverrier,
+                       _from_int_rows, _int_rows, rank)
+from .numberfield import (FieldElement, _solve_fraction_free,
+                          is_algebraic_integer)
 
 _UNITS = ((0, 0), (0, 1), (1, 0), (1, 1))  # E_00, E_01, E_10, E_11
+_TRANSPOSED = (0, 2, 1, 3)  # flattened entry rs of a 2x2 matrix -> sr
 
 
 def integral_characteristic(g: Matrix) -> bool:
@@ -60,13 +69,16 @@ class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
     2x2 matrix space, their Gram matrix tr(g_i g_k) (reported only), the
     images alpha(E_ab) of the matrix units E_00, E_01, E_10, E_11, and the
-    inverse of g_1, which reconstruct() divides by on every sample.
+    inverse of g_1, which reconstruct() divides by.
 
     Linearly dependent elements raise RankDeficientError; independent ones
     have det Gram = -det(V)^2 != 0, V the 4x4 matrix of their entries.  The
-    tables are all FieldElements when an element holds one."""
+    tables are all FieldElements when an element holds one.  A rational
+    basis also keeps the tables (_ints) and the products g_j g_1^-1
+    (_probe) as int numerators over one denominator each."""
 
-    __slots__ = ("elements", "gram", "tables", "_ints", "_first_inverse")
+    __slots__ = ("elements", "gram", "tables", "_ints", "_probe",
+                 "_first_inverse")
 
     def __init__(self, elements):
         elements = tuple(elements)
@@ -76,33 +88,70 @@ class TraceBasis(Immutable):
         # basis; its row a is row b of g_i and its other row is zero.  With
         # V[2r + s][i] = (g_i)_rs and W = V^-1 that is
         # A_ab[j][i] = W[j][2a] (g_i)_b0 + W[j][2a + 1] (g_i)_b1.
+        v = tuple(zip(*(g.rows[0] + g.rows[1] for g in elements)))
+        scaled = _int_rows(v)
         try:
-            w = Matrix(tuple(zip(*(g.rows[0] + g.rows[1]
-                                   for g in elements)))).inverse().rows
+            if scaled is None:
+                w = Matrix(v).inverse().rows
+            else:
+                # V = N / dv and N^-1 = z / d, so W = dv z / d, and its dv
+                # cancels the 1 / dv of the entries of g_i
+                dv, n = scaled
+                d, z = _solve_fraction_free(
+                    [row + [int(i == j) for j in range(4)]
+                     for i, row in enumerate(n)], 4)
         except SingularError:
             raise RankDeficientError(
                 "Gram matrix must be invertible 4x4") from None
-        # a basis with a FieldElement entry makes every entry one
-        fields = [x.field for g in elements for row in g.rows for x in row
-                  if isinstance(x, FieldElement)]
-        zero = fields[0].zero() if fields else 0
-        tables = tuple(Matrix(tuple(
-            tuple(wj[2 * a] * g.rows[b][0] + wj[2 * a + 1] * g.rows[b][1]
-                  + zero for g in elements) for wj in w)) for a, b in _UNITS)
-        ints = _int_rows([row for t in tables for row in t.rows])
-        if ints is not None:
-            # entry (i, j) of A_00, A_01, A_10, A_11 as (w, x, y, z) over den
-            den, nums = ints
-            ints = den, tuple(tuple(zip(*nums[i::4])) for i in range(4))
+        first_inverse = elements[0].inverse()
+        if scaled is None:
+            # a basis with a FieldElement entry makes every entry one
+            fields = [x.field for g in elements for row in g.rows
+                      for x in row if isinstance(x, FieldElement)]
+            zero = fields[0].zero() if fields else 0
+            tables = tuple(Matrix(tuple(
+                tuple(wj[2 * a] * g.rows[b][0] + wj[2 * a + 1] * g.rows[b][1]
+                      + zero for g in elements) for wj in w))
+                for a, b in _UNITS)
+            gram = Matrix(tuple(tuple((a * b).trace() for b in elements)
+                                for a in elements))
+            ints = probe = None
+        else:
+            # entry (j, i) of A_ab, each table over d
+            den, nums = _lowest(d, [
+                [[zj[2 * a] * n[2 * b][i] + zj[2 * a + 1] * n[2 * b + 1][i]
+                  for i in range(4)] for zj in z] for a, b in _UNITS])
+            tables = tuple(_from_int_rows(den, t) for t in nums)
+            # entry (j, i) of A_00, A_01, A_10, A_11 as (w, x, y, z)
+            ints = den, tuple(tuple(zip(*(t[j] for t in nums)))
+                              for j in range(4))
+            # tr(g_i g_k) = sum_rs (g_i)_rs (g_k)_sr
+            gram = _from_int_rows(dv * dv, [
+                [sum(n[e][i] * n[_TRANSPOSED[e]][k] for e in range(4))
+                 for k in range(4)] for i in range(4)])
+            # g_j g_1^-1 = n_j adj(n_1) / det(n_1), n_j = dv g_j
+            p, q, r, s = (row[0] for row in n)
+            adj = ((s, -q), (-r, p))
+            probe = _lowest(p * s - q * r, [
+                [[n[2 * row][j] * adj[0][col] + n[2 * row + 1][j] * adj[1][col]
+                  for col in range(2)] for row in range(2)] for j in range(4)])
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "gram", Matrix(tuple(
-            tuple((a * b).trace() for b in elements) for a in elements)))
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_first_inverse", elements[0].inverse())
+        object.__setattr__(self, "_probe", probe)
+        object.__setattr__(self, "_first_inverse", first_inverse)
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
+
+
+def _lowest(d, tables):
+    """(d / g, tables / g) for g = gcd(d, every entry): the same fractions
+    over the least denominator (negative when d is); tables is a list of
+    int matrices."""
+    g = gcd(d, *(x for t in tables for row in t for x in row))
+    return d // g, [[[x // g for x in row] for row in t] for t in tables]
 
 
 def select_basis(words) -> TraceBasis:
@@ -155,11 +204,9 @@ def alpha(g: Matrix, basis: TraceBasis) -> Matrix:
     scaled = ints and _int_rows(g.rows)
     if scaled:
         D, ((a, b), (c, d)) = scaled
-        den = D * ints[0]
-        return Matrix(tuple(
-            tuple(Fraction(a * w + b * x + c * y + d * z, den)
-                  for w, x, y, z in row)
-            for row in ints[1]))
+        return _from_int_rows(D * ints[0], [
+            [a * w + b * x + c * y + d * z for w, x, y, z in row]
+            for row in ints[1]])
     (g00, g01), (g10, g11) = g.rows
     return Matrix(tuple(
         tuple(g00 * w + g01 * x + g10 * y + g11 * z
@@ -172,13 +219,27 @@ def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
 
     Column 0 of the image gives the coordinates of g*g_1 in the basis
     (this is the elementary-matrix probe behind injectivity: the trace
-    functional of g*g_1 determines all four of its entries).
+    functional of g*g_1 determines all four of its entries), so g is
+    sum_j m4[j, 0] g_j g_1^-1.  Over Q each entry is one integer dot product
+    with the numerators of the products g_j g_1^-1 that the basis keeps.
     """
+    column = basis._probe and _int_rows([[row[0] for row in m4.rows]])
+    if column:
+        return _from_int_rows(
+            *_probe_rows(column[0], column[1][0], basis._probe))
     combo = None
     for j, gj in enumerate(basis.elements):
         term = m4[j, 0] * gj
         combo = term if combo is None else combo + term
     return combo * basis._first_inverse
+
+
+def _probe_rows(D, n, probe):
+    """(D * E, numerators) of sum_j (n_j / D) g_j g_1^-1, from the probe
+    table (E, numerators of g_j g_1^-1) of a rational basis."""
+    E, (p0, p1, p2, p3) = probe
+    return D * E, [[n[0] * p0[r][s] + n[1] * p1[r][s] + n[2] * p2[r][s]
+                    + n[3] * p3[r][s] for s in range(2)] for r in range(2)]
 
 
 class Rep4:
@@ -205,16 +266,60 @@ def _poly_square(coeffs):
     return tuple(out)
 
 
-def _is_product(m: Matrix, ma: Matrix, mb: Matrix) -> bool:
-    """m == ma * mb; for rational matrices by cross-multiplied integer
-    numerators, without forming the product."""
-    s, sa, sb = _int_rows(m.rows), _int_rows(ma.rows), _int_rows(mb.rows)
+def _int_product(sa, sb):
+    """(Da * Db, A B) for matrices A / Da and B / Db given by numerators."""
+    (Da, A), (Db, B) = sa, sb
+    cols = tuple(zip(*B))
+    return Da * Db, [[_dot(r, c) for c in cols] for r in A]
+
+
+def _sample_product(a: Matrix, b: Matrix, sa, sb) -> Matrix:
+    """a * b, on the numerators when both are rational."""
+    if sa is None or sb is None:
+        return a * b
+    return _from_int_rows(*_int_product(sa, sb))
+
+
+def _is_product(m: Matrix, ma: Matrix, mb: Matrix, sa, sb) -> bool:
+    """m == ma * mb; for rational matrices, with sa and sb the numerators of
+    ma and mb, by cross-multiplied integer numerators, without forming the
+    product."""
+    s = _int_rows(m.rows)
     if s is None or sa is None or sb is None:
         return m == ma * mb
-    (D, rows), (Da, A), (Db, B) = s, sa, sb
-    scale, cols = Da * Db, tuple(zip(*B))
-    return all(x * scale == D * _dot(r, col)
-               for row, r in zip(rows, A) for x, col in zip(row, cols))
+    (D, rows), (den, prod) = s, _int_product(sa, sb)
+    return all(x * den == D * y
+               for row, prod_row in zip(rows, prod)
+               for x, y in zip(row, prod_row))
+
+
+def _sample_checks(g: Matrix, m: Matrix, basis: TraceBasis):
+    """(m is I, the probe rebuilds g, charpoly(m) = charpoly(g)^2,
+    det m = 1, every entry of m is an algebraic integer), on the entries
+    themselves."""
+    charpoly = m.charpoly()
+    return (m.is_identity(), reconstruct(m, basis) == g,
+            charpoly == _poly_square(g.charpoly()), charpoly[0] == 1,
+            all(is_algebraic_integer(x) for row in m.rows for x in row))
+
+
+def _rational_checks(sg, sm, probe):
+    """_sample_checks from the numerators sg of g and sm of its image m
+    over a rational basis: each comparison of fractions is one of
+    cross-multiplied ints.  D = 1 says that every entry of m is an
+    integer."""
+    (Dg, g), (D, m) = sg, sm
+    identity = D == 1 and all(x == int(i == j) for i, row in enumerate(m)
+                              for j, x in enumerate(row))
+    den, rebuilt = _probe_rows(D, [row[0] for row in m], probe)
+    probe_ok = all(x * Dg == y * den for row, g_row in zip(rebuilt, g)
+                   for x, y in zip(row, g_row))
+    # coefficient k (leading first) over D^k and Dg^k
+    big = _faddeev_leverrier(m, floordiv)
+    square = _poly_square(_faddeev_leverrier(g, floordiv))
+    square_ok = all(c * Dg ** k == t * D ** k
+                    for k, (c, t) in enumerate(zip(big, square)))
+    return identity, probe_ok, square_ok, big[4] == D ** 4, D == 1
 
 
 def verify_embedding(rep: Rep4, samples) -> dict:
@@ -226,31 +331,44 @@ def verify_embedding(rep: Rep4, samples) -> dict:
     one (the constant term of that polynomial), and per-element integrality
     of the 4x4 entries.  Failures are collected in the report, not raised.
     Each sample is mapped once, so n samples take 2n - 1 calls of rep.
+
+    Over Q every sample and image is converted once to int numerators over
+    one denominator, and every check runs on those; an entry is an
+    algebraic integer exactly when its denominator is 1.
     """
     samples = list(samples)
     images = [rep(g) for g in samples]
+    sample_ints = [_int_rows(g.rows) for g in samples]
+    image_ints = [_int_rows(m.rows) for m in images]
     failures = []
     pairs = 0
-    for a, b, ma, mb in zip(samples, samples[1:], images, images[1:]):
+    for k in range(len(samples) - 1):
         pairs += 1
-        if not _is_product(rep(a * b), ma, mb):
+        a, b = samples[k], samples[k + 1]
+        product = _sample_product(a, b, sample_ints[k], sample_ints[k + 1])
+        if not _is_product(rep(product), images[k], images[k + 1],
+                           image_ints[k], image_ints[k + 1]):
             failures.append(f"homomorphism: {a!r} * {b!r}")
+    probe = rep.basis._probe
     identity_images = 0
     entry_integrality = []
-    for g, m in zip(samples, images):
-        if m.is_identity():
+    for g, m, sg, sm in zip(samples, images, sample_ints, image_ints):
+        if probe and sg and sm:
+            checks = _rational_checks(sg, sm, probe)
+        else:
+            checks = _sample_checks(g, m, rep.basis)
+        identity, probe_ok, square_ok, det_one, integral = checks
+        if identity:
             identity_images += 1
             if not g.is_identity():
                 failures.append(f"injectivity: nonidentity {g!r} maps to I")
-        if reconstruct(m, rep.basis) != g:
+        if not probe_ok:
             failures.append(f"probe: reconstruction mismatch for {g!r}")
-        charpoly = m.charpoly()
-        if charpoly != _poly_square(g.charpoly()):
+        if not square_ok:
             failures.append(f"characteristic square identity: {g!r}")
-        if charpoly[0] != 1:  # det(-m) = det(m) for 4x4
+        if not det_one:  # det(-m) = det(m) for 4x4
             failures.append(f"determinant: {g!r}")
-        entry_integrality.append(
-            all(is_algebraic_integer(x) for row in m.rows for x in row))
+        entry_integrality.append(integral)
     return {
         "samples": len(samples),
         "homomorphism_pairs": pairs,

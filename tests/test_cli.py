@@ -439,6 +439,52 @@ def test_embed_field_golden(capsys):
         encode_matrix(g) for g in kept]
 
 
+DYADIC_GROUP = ('{"generators": [[["0","-1"],["1","0"]], [["1","1"],["0","1"]], '
+                '[["2","0"],["0","1/2"]]]}')
+
+
+@pytest.mark.parametrize("group, argv, expect", [
+    pytest.param(SL2Z, ["--samples", "10", "--ball", "2", "--seed", "0"], (
+        '{"diagnostics": ["seed 0", "ball radius 2"], "result": '
+        '{"alpha_tables": [[["0", "-1", "0", "0"], ["1", "0", "0", '
+        '"0"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]], [["0", '
+        '"1", "-1", "0"], ["0", "2", "0", "1"], ["1", "0", "2", "1"], '
+        '["0", "-1", "0", "0"]]], "basis": [[["1", "0"], ["0", "1"]], '
+        '[["0", "-1"], ["1", "0"]], [["1", "1"], ["0", "1"]], [["0", '
+        '"-1"], ["1", "1"]]], "checks": {"all_entries_integral": true, '
+        '"entry_integrality": [true, true, true, true, true, true, '
+        'true, true, true, true], "failures": [], "homomorphism_pairs":'
+        ' 9, "identity_images": 2, "ok": true, "samples": 10}, "gram": '
+        '[["2", "0", "2", "1"], ["0", "-2", "1", "-2"], ["2", "1", "2",'
+        ' "2"], ["1", "-2", "2", "-1"]]}, "status": "ok"}\n'),
+        id="SL(2,Z)"),
+    # the unit tables of this basis are not integral, and neither are the
+    # images of three of the six samples
+    pytest.param(DYADIC_GROUP, ["--samples", "6", "--ball", "2",
+                                "--seed", "0"], (
+        '{"diagnostics": ["seed 0", "ball radius 2"], "result": '
+        '{"alpha_tables": [[["0", "-1", "4/3", "-3/2"], ["1", "0", "1",'
+        ' "2"], ["0", "0", "0", "3/2"], ["0", "0", "-2/3", "0"]], '
+        '[["0", "-1/3", "-1", "-1/2"], ["0", "1", "0", "0"], ["1", "0",'
+        ' "2", "1/2"], ["0", "2/3", "0", "1"]], [["0", "3/2", "-2", '
+        '"-1"], ["0", "1/2", "0", "0"], ["0", "-3/2", "2", "0"], ["1", '
+        '"0", "1", "5/2"]]], "basis": [[["1", "0"], ["0", "1"]], [["0",'
+        ' "-1"], ["1", "0"]], [["1", "1"], ["0", "1"]], [["2", "0"], '
+        '["0", "1/2"]]], "checks": {"all_entries_integral": false, '
+        '"entry_integrality": [true, false, true, true, false, false], '
+        '"failures": [], "homomorphism_pairs": 5, "identity_images": 2,'
+        ' "ok": true, "samples": 6}, "gram": [["2", "0", "2", "5/2"], '
+        '["0", "-2", "1", "0"], ["2", "1", "2", "5/2"], ["5/2", "0", '
+        '"5/2", "17/4"]]}, "status": "ok"}\n'),
+        id="S,T,diag(2,1/2)"),
+])
+def test_embed_rational_golden(capsys, group, argv, expect):
+    # every field of the report, byte for byte: basis, Gram matrix, the
+    # images of the generators and the sampled checks
+    rc, out = run(["embed", "--group", group] + argv, capsys)
+    assert rc == 0 and out == expect
+
+
 PARABOLIC_GROUP = ('{"generators": [[["1","1"],["0","1"]], '
                    '[["2","0"],["0","1/2"]], [["1","0"],["1","1"]]]}')
 

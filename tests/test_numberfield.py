@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -299,3 +300,49 @@ def test_int_representation(minpoly, a, b):
         for z in (x, y, x * y):
             got, want = emb(z), _horner_over_fractions(z.coeffs, emb.root)
             assert type(got) is complex and repr(got) == repr(want)
+
+
+_MODULUS = sys.hash_info.modulus
+# denominators at and around the hash modulus, where a Fraction hashes as
+# sys.hash_info.inf or reduces the modulus away
+_hash_rationals = st.one_of(
+    _rationals,
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.sampled_from([_MODULUS, 2 * _MODULUS, _MODULUS ** 2,
+                               _MODULUS - 1, _MODULUS + 1])),
+    st.builds(lambda n: Fraction(n * _MODULUS, 3 * _MODULUS + 3),
+              st.integers(-10 ** 6, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INT_FIELDS + [[-3, 1]]),
+       st.lists(_hash_rationals, min_size=4, max_size=4),
+       st.integers(0, 3))
+def test_hash_equals_the_fraction_tuple_hash(minpoly, a, rational_from):
+    # the hash is read off the ints, yet equals hash((minpoly, coeffs)) on
+    # the Fraction coefficients, and the Fraction's hash when rational
+    k = make_field(minpoly)
+    a = a[:k.degree]
+    for cs in (a, a[:rational_from] + [0] * (k.degree - rational_from)):
+        x = k.element(cs)
+        coeffs = tuple(Fraction(c) for c in cs)
+        assert x.coeffs == coeffs
+        want = (hash(coeffs[0]) if x.is_rational
+                else hash((k.minpoly, coeffs)))
+        assert hash(x) == want
+
+
+def test_hash_with_the_modulus_in_the_denominator():
+    k = make_field([1, 0, 1])
+    for cs in ([Fraction(1, _MODULUS), Fraction(1, 2)],
+               [Fraction(-1, _MODULUS), 0],
+               [Fraction(_MODULUS, 2 * _MODULUS + 2), Fraction(3, _MODULUS)],
+               [Fraction(-7, _MODULUS ** 2), Fraction(-1)]):
+        x = k.element(cs)
+        assert x._den % _MODULUS == 0
+        coeffs = tuple(Fraction(c) for c in cs)
+        want = (hash(coeffs[0]) if x.is_rational
+                else hash((k.minpoly, coeffs)))
+        assert hash(x) == want
+    assert hash(k.element([Fraction(1, _MODULUS)])) == sys.hash_info.inf
+    assert hash(k.element([-1])) == hash(-1) == -2

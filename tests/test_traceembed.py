@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (alpha_by_solve, first_independent, matrix_word_ball,
-                     random_sl2z, rank_by_minors)
+from oracles import (alpha_by_solve, det_leibniz, first_independent,
+                     inverse_by_adjugate, matrix_word_ball, random_sl2z,
+                     rank_by_minors)
 from sl2kit import (DetNotOneError, FieldElement, Matrix, RankDeficientError,
-                    Rep4, TraceBasis, alpha, integral_characteristic,
-                    make_field, mat, reconstruct, select_basis,
-                    verify_embedding, word_ball)
+                    Rep4, SingularError, TraceBasis, alpha,
+                    integral_characteristic, make_field, mat, reconstruct,
+                    select_basis, verify_embedding, word_ball)
 from sl2kit.properaction import _word_layers
 from sl2kit.traceembed import _select_layered
 
@@ -396,3 +399,164 @@ def test_alpha_matches_the_generic_sum_in_types_and_values():
             assert all(type(x) is kind for row in table.rows for x in row)
         for g in rational_gs + field_gs:
             assert _typed(alpha(g, basis)) == _typed(_generic_alpha(g, basis))
+
+
+# The rational path of TraceBasis, reconstruct and verify_embedding runs on
+# int numerators; these oracles run on Fractions, from tests/oracles.py and
+# plain list arithmetic.
+
+def _letters(p):
+    """S, T, diag(p, 1/p), [[1, 1/p], [0, 1]] and their inverses."""
+    gens = [S, T, mat([[p, 0], [0, Fraction(1, p)]]),
+            mat([[1, Fraction(1, p)], [0, 1]])]
+    return gens + [g.inverse() for g in gens]
+
+
+def _word(letters, indices):
+    g = Matrix.identity(2)
+    for i in indices:
+        g = g * letters[i]
+    return g
+
+
+def _rows(m):
+    return [list(row) for row in m.rows]
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _charpoly_at(m, x):
+    """det(xI - m) by the permutation expansion."""
+    return det_leibniz([[(x if i == j else 0) - v for j, v in enumerate(row)]
+                        for i, row in enumerate(m)])
+
+
+def _oracle_report(basis, samples, image):
+    """verify_embedding's report from image(g), the 4x4 image of g as row
+    lists, by Fraction arithmetic on lists."""
+    g1_inverse = inverse_by_adjugate(_rows(basis.elements[0]))
+    eye4 = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    failures = [f"homomorphism: {a!r} * {b!r}"
+                for a, b in zip(samples, samples[1:])
+                if _matmul(image(a), image(b)) != image(a * b)]
+    identity_images, integrality = 0, []
+    for g in samples:
+        m = image(g)
+        if m == eye4:
+            identity_images += 1
+            if not g.is_identity():
+                failures.append(f"injectivity: nonidentity {g!r} maps to I")
+        combo = [[sum((m[j][0] * gj[r, s]
+                       for j, gj in enumerate(basis.elements)), Fraction(0))
+                  for s in range(2)] for r in range(2)]
+        if _matmul(combo, g1_inverse) != _rows(g):
+            failures.append(f"probe: reconstruction mismatch for {g!r}")
+        # two monic quartics agree when they agree at five points
+        if any(_charpoly_at(m, x) != _charpoly_at(_rows(g), x) ** 2
+               for x in range(5)):
+            failures.append(f"characteristic square identity: {g!r}")
+        if det_leibniz(m) != 1:
+            failures.append(f"determinant: {g!r}")
+        integrality.append(all(x.denominator == 1 for row in m for x in row))
+    return {"samples": len(samples), "homomorphism_pairs": len(samples) - 1,
+            "identity_images": identity_images,
+            "entry_integrality": integrality,
+            "all_entries_integral": all(integrality),
+            "failures": failures, "ok": not failures}
+
+
+class NudgedAtRep(Rep4):
+    """alpha, with 1/P61^2 added to entry (i, j) of one sample's image."""
+
+    def __init__(self, basis, target, i, j):
+        super().__init__(basis)
+        self.target, self.i, self.j = target, i, j
+        self.calls = 0
+
+    def __call__(self, g):
+        self.calls += 1
+        m = super().__call__(g)
+        if g != self.target:
+            return m
+        rows = _rows(m)
+        rows[self.i][self.j] += Fraction(1, P61 * P61)
+        return Matrix(tuple(map(tuple, rows)))
+
+
+_words = st.lists(st.integers(0, 7), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, P61]), st.lists(_words, max_size=8),
+       st.lists(_words, min_size=1, max_size=5), st.data())
+def test_rational_path_matches_the_fraction_oracles(p, stream, samples,
+                                                    data):
+    letters = _letters(p)
+    # the fallback keeps a basis in reach whatever the drawn words span
+    stream = [_word(letters, w) for w in stream] + [
+        Matrix.identity(2), S, T, S * T]
+    samples = [_word(letters, w) for w in samples]
+    basis = select_basis(stream)
+    g = basis.elements
+    # column i of A_ab holds the coordinates W vec(E_ab g_i), W = V^-1 by
+    # the adjugate, V[2r + s][i] = (g_i)_rs
+    w = inverse_by_adjugate([[gi[r, s] for gi in g]
+                             for r in range(2) for s in range(2)])
+    for (a, b), table in zip(UNITS_AB, basis.tables):
+        want = [[sum((w[j][2 * r + s] * (g[i][b, s] if r == a else 0)
+                      for r in range(2) for s in range(2)), Fraction(0))
+                 for i in range(4)] for j in range(4)]
+        assert _rows(table) == want
+        assert all(type(x) is Fraction for row in table.rows for x in row)
+    assert basis.gram == Matrix(tuple(
+        tuple(_trace_of_product(a, b) for b in g) for a in g))
+    images = {}
+
+    def image(h):
+        if h not in images:
+            images[h] = _rows(alpha_by_solve(h, basis))
+        return images[h]
+
+    for h in samples:
+        assert _rows(alpha(h, basis)) == image(h)
+        rebuilt = reconstruct(alpha(h, basis), basis)
+        assert rebuilt == h
+        assert all(type(x) is Fraction for row in rebuilt.rows for x in row)
+    report = verify_embedding(Rep4(basis), samples)
+    assert report == _oracle_report(basis, samples, image)
+    assert report["ok"]
+    # a nudge of 1/P61^2 at a drawn entry of a drawn sample's image
+    target = data.draw(st.sampled_from(samples))
+    i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    rep = NudgedAtRep(basis, target, i, j)
+    nudged = verify_embedding(rep, samples)
+    assert rep.calls == 2 * len(samples) - 1
+
+    def nudged_image(h):
+        rows = [list(row) for row in image(h)]
+        if h == target:
+            rows[i][j] += Fraction(1, P61 * P61)
+        return rows
+
+    assert nudged == _oracle_report(basis, samples, nudged_image)
+    kinds = {f.split(":")[0] for f in nudged["failures"]}
+    assert kinds <= {"homomorphism", "probe",
+                     "characteristic square identity", "determinant"}
+    # the probe reads column 0 only
+    assert (f"probe: reconstruction mismatch for {target!r}"
+            in nudged["failures"]) == (j == 0)
+
+
+UNITS_AB = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_trace_basis_refuses_a_singular_first_element():
+    # E_00, E_01, E_10, E_11 are independent, but reconstruct divides by
+    # the first element
+    with pytest.raises(SingularError):
+        TraceBasis(UNITS)
+    with pytest.raises(RankDeficientError):
+        TraceBasis([UNITS[0], UNITS[0], UNITS[1], UNITS[2]])
