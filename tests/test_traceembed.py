@@ -405,6 +405,9 @@ def test_alpha_matches_the_generic_sum_in_types_and_values():
 # int numerators; these oracles run on Fractions, from tests/oracles.py and
 # plain list arithmetic.
 
+UNITS_AB = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _letters(p):
     """S, T, diag(p, 1/p), [[1, 1/p], [0, 1]] and their inverses."""
     gens = [S, T, mat([[p, 0], [0, Fraction(1, p)]]),
@@ -548,9 +551,6 @@ def test_rational_path_matches_the_fraction_oracles(p, stream, samples,
     # the probe reads column 0 only
     assert (f"probe: reconstruction mismatch for {target!r}"
             in nudged["failures"]) == (j == 0)
-
-
-UNITS_AB = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_trace_basis_refuses_a_singular_first_element():
