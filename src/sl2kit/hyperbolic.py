@@ -12,10 +12,10 @@ and the distance is arccosh(1 + (|z1 - z2|^2 + (t1 - t2)^2) / (2 t1 t2)).
 The displacement of the basepoint (0, 1) under g has the closed form
 arccosh((sum of |g_ij|^2) / 2); the halving makes the identity displace by 0,
 and the Moebius formulas above serve as the independent oracle in the tests.
-displacement_hyp is the checked form (2x2, determinant 1 within 1e-9 in
-floats); its unchecked core _displacement_hyp serves callers that proved
-determinant 1 exactly.  Both refuse a value beyond float range with
-UnsupportedError.
+displacement_hyp checks its input (2x2, determinant 1 within 1e-9 in
+floats); properaction, which proves determinant 1 exactly, reads the same
+formula (_hyp_of_images) off its integer kernel, with no float re-check.
+Both refuse a value beyond float range with UnsupportedError.
 
 Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
@@ -181,29 +181,18 @@ def hyp_distance(p: HPoint, q: HPoint) -> float:
 def displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None = None) -> float:
     """Distance the basepoint (0, 1) moves under g: arccosh(sum |g_ij|^2 / 2).
 
-    The checked entry point: g must be 2x2 and its embedded entries must
-    have determinant 1 within 1e-9 in floats, else ValueError.  The value
-    is that of _displacement_hyp, the unchecked core."""
+    g must be 2x2 and its embedded entries must have determinant 1 within
+    1e-9 in floats, else ValueError.  An embedded entry or sum of squares
+    beyond float range raises UnsupportedError rather than OverflowError or
+    an infinite distance."""
     if g.n != 2:
         raise ValueError("expected a 2x2 matrix")
-    return _displacement_hyp(g, emb, check_det=True)
+    return _hyp_of_images(_matrix_images, g, emb)
 
 
-def _displacement_hyp(g: Matrix, emb: ArchimedeanEmbedding | None,
-                      check_det: bool = False) -> float:
-    """displacement_hyp for a 2x2 g whose determinant 1 the caller has
-    proved exactly, as properaction does on its kernel: no float re-check,
-    which rounding can fail when the entries are large.
-
-    An embedded entry or sum of squares beyond float range raises
-    UnsupportedError rather than OverflowError or an infinite distance."""
-    return _hyp_of_images(_matrix_images, g, emb, check_det)
-
-
-def _matrix_images(g: Matrix, emb, check_det: bool):
+def _matrix_images(g: Matrix, emb):
     (a, b), (c, d) = embed_matrix(g, emb)
-    if check_det:
-        _check_det_one(a, b, c, d)
+    _check_det_one(a, b, c, d)
     return a, b, c, d
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import floordiv, truediv
 
 from .errors import SingularError
 
@@ -156,21 +155,16 @@ class Matrix(Immutable):
     def charpoly(self) -> tuple:
         """Characteristic polynomial det(xI - A), coefficients constant-first.
 
-        A rational matrix runs _faddeev_leverrier on the integer numerators
-        of D*A, where every division by k is exact in Z, and rescales by
-        c_k(A) = c_k(D*A)/D^k; the coefficients are Fractions.  Any other
-        matrix runs it on its own entries, so a coefficient is a
-        FieldElement exactly where field entries reach it.
+        _faddeev_leverrier runs on the numerators of D*A (_numerators), and
+        c_k(A) = c_k(D*A)/D^k.  On a rational matrix every division of the
+        recurrence is exact in Z and the coefficients are Fractions; on one
+        with a field entry D is 1, and a coefficient is a FieldElement
+        exactly where field entries reach it.
         """
-        scaled = _int_rows(self.rows)
-        if scaled is None:
-            coeffs_desc = _faddeev_leverrier(self.rows, truediv)
-            coeffs_desc[0] = Fraction(1)
-        else:
-            D, a = scaled
-            coeffs_desc = [Fraction(c, D ** k) for k, c in
-                           enumerate(_faddeev_leverrier(a, floordiv))]
-        return tuple(reversed(coeffs_desc))
+        D, a = _numerators(self.rows)
+        return tuple(reversed([
+            Fraction(c, D ** k) if type(c) is int else c / D ** k
+            for k, c in enumerate(_faddeev_leverrier(a))]))
 
     def is_identity(self) -> bool:
         return all(self.rows[i][j] == (1 if i == j else 0)
@@ -193,31 +187,67 @@ class Matrix(Immutable):
 # exact linear algebra helpers (generic over the scalar type)
 # ---------------------------------------------------------------------------
 
-def _int_rows(rows):
+def _numerators(rows):
     """(D, rows of D*A as int lists) for the least common denominator D of
-    the entries, when every entry is an int or a Fraction; else None."""
+    the entries, when every entry is an int or a Fraction.  When an entry
+    is a FieldElement, (1, rows): each entry is its own numerator over 1,
+    and the same formulas run on the entries themselves."""
     for row in rows:
         for x in row:
             if not isinstance(x, (int, Fraction)):
-                return None
+                return 1, rows
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     D = lcm(*[d for row in ratios for _, d in row])
     return D, [[n * (D // d) for n, d in row] for row in ratios]
 
 
-def _from_int_rows(D, rows) -> "Matrix":
-    """The Matrix of Fractions A for the int rows of D*A: _int_rows undone."""
+def _over(D, rows) -> "Matrix":
+    """The Matrix A for the numerator rows of D*A, _numerators undone:
+    Fraction(x, D) for an int x over an int D, else x / D, computed as x
+    times the one reciprocal of D."""
+    if type(D) is not int:
+        r = 1 / D
+        return Matrix(tuple(tuple(x * r for x in row) for row in rows))
     if D == 1:
-        return Matrix(tuple(tuple(map(Fraction, row)) for row in rows))
-    return Matrix(tuple(tuple(Fraction(x, D) for x in row) for row in rows))
+        return Matrix(tuple(tuple(Fraction(x) if type(x) is int else x
+                                  for x in row) for row in rows))
+    r = Fraction(1, D)
+    return Matrix(tuple(tuple(Fraction(x, D) if type(x) is int else x * r
+                              for x in row) for row in rows))
 
 
-def _faddeev_leverrier(a, divide):
+def _solve_fraction_free(rows, m: int):
+    """(d, z) with z / d the solution of the m x (m + k) augmented system
+    rows, k >= 1 right-hand sides: row i of z holds the k solution entries
+    of unknown i.  Gauss-Jordan with Bareiss's divisions by the previous
+    pivot, which are exact, so every pivot ends as d = +-det (Bareiss,
+    Math. Comp. 22, 1968).  An int dividend is floor-divided, exactly, so
+    int rows stay ints; any other exact scalar is divided.  A singular left
+    block raises SingularError."""
+    prev = 1
+    for k in range(m):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if i is None:
+                raise SingularError("matrix is singular")
+            rows[k], rows[i] = rows[i], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [t // prev if type(t := pivot * x - f * y) is int
+                           else t / prev for x, y in zip(rows[i], pivot_row)]
+        prev = pivot
+    return prev, [row[m:] for row in rows]
+
+
+def _faddeev_leverrier(a):
     """[1, c_1, ..., c_n], the coefficients of det(xI - A) leading first,
-    for the rows a of A: M_1 = A, c_k = -divide(tr(M_k), k), M_(k+1) =
-    A(M_k + c_k I).  On int rows floordiv is exact and every c_k is an int;
-    truediv serves any exact scalar type.  Only the trace of M_n is read,
-    so only its diagonal is formed."""
+    for the rows a of A: M_1 = A, c_k = -tr(M_k) / k, M_(k+1) =
+    A(M_k + c_k I).  An int trace is floor-divided, which is exact on int
+    rows, so every c_k is an int there; any other exact scalar is divided.
+    Only the trace of M_n is read, so only its diagonal is formed."""
     n = len(a)
     coeffs_desc = [1]
     m, diagonal = a, [a[i][i] for i in range(n)]
@@ -225,7 +255,7 @@ def _faddeev_leverrier(a, divide):
         t = diagonal[0]
         for i in range(1, n):
             t = t + diagonal[i]
-        c = -divide(t, k)
+        c = -(t // k if type(t) is int else t / k)
         coeffs_desc.append(c)
         if k < n:
             # add c*I as Matrix arithmetic would: each off-diagonal entry

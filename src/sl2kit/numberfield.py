@@ -25,8 +25,8 @@ import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import NotMonicError, ReducibleError, SingularError
-from .matrices import Immutable, linear_solve
+from .errors import NotMonicError, ReducibleError
+from .matrices import Immutable, _solve_fraction_free, linear_solve
 
 MAX_DEGREE = 4
 
@@ -205,31 +205,6 @@ def _normal(field: NumberField, nums, den: int) -> "FieldElement":
         if g != 1:
             return FieldElement(field, tuple([n // g for n in nums]), den // g)
     return FieldElement(field, tuple(nums), den)
-
-
-def _solve_fraction_free(rows, m: int):
-    """(d, z) with z / d the solution of the int m x (m + k) augmented
-    system rows, k >= 1 right-hand sides: row i of z holds the k solution
-    entries of unknown i.  Gauss-Jordan with Bareiss's divisions by the
-    previous pivot, which are exact, so every entry stays an int and every
-    pivot ends as d = +-det (Bareiss, Math. Comp. 22, 1968).  A singular
-    left block raises SingularError."""
-    prev = 1
-    for k in range(m):
-        if not rows[k][k]:
-            i = next((i for i in range(k + 1, m) if rows[i][k]), None)
-            if i is None:
-                raise SingularError("matrix is singular")
-            rows[k], rows[i] = rows[i], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev
-                           for x, y in zip(rows[i], pivot_row)]
-        prev = pivot
-    return prev, [row[m:] for row in rows]
 
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -455,5 +430,8 @@ def minimal_polynomial(x) -> tuple:
 
 
 def is_algebraic_integer(x) -> bool:
-    """True iff the minimal polynomial of x has integer coefficients."""
+    """True iff the minimal polynomial of x has integer coefficients; an int n
+    has X - n."""
+    if type(x) is int:
+        return True
     return all(c.denominator == 1 for c in minimal_polynomial(x))

@@ -64,8 +64,8 @@ from itertools import product
 from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
                      UnsupportedError)
-from .hyperbolic import (ArchimedeanEmbedding, _displacement_hyp, _HypBound,
-                         _hyp_of_images, _hyp_value)
+from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_of_images,
+                         _hyp_value)
 from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField, _normal
 from .valuations import _int_val, _prime_factors
@@ -195,9 +195,12 @@ def _check(g: Matrix, ring: Ring) -> int:
 def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
     """Profile of g acting on the product of the trees and the half-space."""
     trees = _tree_moves(_check(g, group.ring), group.ring.primes)
-    if group.ring.field is not None:
+    field = group.ring.field
+    if field is not None:
         group.tree_contexts  # the valuation gate refuses a non-inert prime
-        return DisplacementProfile(trees, _displacement_hyp(g, group.embedding))
+        k, mask = _kernel(g, field.degree)
+        return DisplacementProfile(trees, _hyp_of_images(
+            _kernel_images, k, mask, group.embedding))
     (a, b, c, d, D), _ = _kernel(g, 1)
     N, D2 = a * a + b * b + c * c + d * d, D * D
     return DisplacementProfile(trees, _hyp_value(N, D2), (N, D2))
@@ -290,11 +293,17 @@ def _multiply(field: NumberField | None):
 # word balls
 # ---------------------------------------------------------------------------
 
+_WALK_LIMIT = 10 ** 6  # elements a word ball may walk
+
+
 def _ball(steps, field: NumberField | None, max_len: int):
     """The BFS layers of the distinct products of at most max_len steps
     over field (None for Q), one {tuple: mask} dict per read in discovery
     order, from {identity: 0}; each mask is the one of the first discovery.
     The walk stops at max_len or at the first empty layer (a finite group).
+    Before it builds a layer, it refuses with UnsupportedError when the
+    elements walked so far plus the products of the last layer could pass
+    _WALK_LIMIT.
 
     steps is closed under inverses, so x s = y gives x = y s^-1: the
     neighbours of layer k lie in layers k - 1 to k + 1.  So the walk keeps
@@ -311,8 +320,14 @@ def _ball(steps, field: NumberField | None, max_len: int):
         c = (mask | mask >> 2) & 3
         cols.append((k, c | c << 2))
     prev, layer = {}, {ident: 0}
+    walked = 1
     yield layer
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
+        bound = walked + len(layer) * len(cols)
+        if bound > _WALK_LIMIT:
+            raise UnsupportedError(
+                f"a word ball of length {length} may walk {bound} elements, "
+                f"over the limit of {_WALK_LIMIT}")
         nxt = {}
         add = nxt.setdefault
         for x, r in layer.items():
@@ -324,6 +339,7 @@ def _ball(steps, field: NumberField | None, max_len: int):
                 nxt.pop(y, None)
         if not nxt:
             return
+        walked += len(nxt)
         yield nxt
         prev, layer = layer, nxt
 

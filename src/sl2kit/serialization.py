@@ -37,16 +37,30 @@ def encode_rational(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_EXPONENT_LIMIT = 4300  # Python's default digit limit for int(str)
+
+
 def parse_rational(obj) -> Fraction:
+    """An int, or a string that Fraction reads ("3/4", "-2", "1.5e3").
+    Python reads no int of more digits than _EXPONENT_LIMIT from a string,
+    so a longer numerator is malformed; a decimal exponent beyond
+    +-_EXPONENT_LIMIT would get round that limit by building
+    10**|exponent|, so it is refused too."""
     if isinstance(obj, bool):
         raise ValueError("rationals must be strings or integers")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        text = obj.strip()
         try:
-            return Fraction(obj.strip())
+            # only an int can follow the e of a rational Fraction reads
+            exponent = int(text.lower().partition("e")[2] or 0)
+            if abs(exponent) <= _EXPONENT_LIMIT:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational {obj!r}") from exc
+        raise ValueError(f"rational {obj!r} has a decimal exponent beyond "
+                         f"+-{_EXPONENT_LIMIT}")
     raise ValueError(f"malformed rational {obj!r}")
 
 

@@ -24,18 +24,20 @@ the ball closed under every generator, so no later one can raise it, and
 the radius-3 ball is the most it ever reads.  Rep4 wraps alpha and caches
 nothing.
 
-Over Q the layer runs on integers.  TraceBasis inverts the int numerators
-of V fraction-free (Bareiss, as FieldElement.inverse does) and keeps the
-four tables, and the products g_j g_1^-1 that reconstruct sums, as int
-numerators over one denominator each.  So alpha(g) of a rational g costs
-one integer dot product and one Fraction per entry, and reconstruct one
-integer dot product per entry.  verify_embedding converts each sample and
-each image to numerators once and runs every check on them: sample
-products as integer products, comparisons of fractions by
-cross-multiplication, characteristic polynomials by the integer
-Faddeev-LeVerrier recurrence that Matrix.charpoly runs too, and
-integrality as a common denominator of 1.  Over Q(gamma) the same
-formulas run on the entries themselves.
+The layer runs on numerators.  A rational matrix is read as int
+numerators over one common denominator, and a matrix with a field entry as
+its own entries over 1 (matrices._numerators), so one set of formulas
+serves Q and Q(gamma).  TraceBasis inverts the numerators of V
+fraction-free (Bareiss, as FieldElement.inverse does) and keeps the four
+tables, and the products g_j g_1^-1 that reconstruct sums, as numerators
+over one denominator each.  So alpha(g) of a rational g costs one integer
+dot product and one Fraction per entry, and reconstruct one dot product
+per entry.  verify_embedding converts each sample and each image to
+numerators once and runs every check on them: sample products as products
+of numerators, comparisons of fractions by cross-multiplication,
+characteristic polynomials by the Faddeev-LeVerrier recurrence that
+Matrix.charpoly runs too, and integrality as a common denominator of 1
+with algebraic-integer entries.
 
 Everything here is exact.  Entry integrality is measured per element (by
 is_algebraic_integer off Q) and reported, never assumed.
@@ -43,14 +45,10 @@ is_algebraic_integer off Q) and reported, never assumed.
 
 from __future__ import annotations
 
-from math import gcd
-from operator import floordiv
-
 from .errors import DetNotOneError, RankDeficientError, SingularError
 from .matrices import (Immutable, Matrix, _dot, _faddeev_leverrier,
-                       _from_int_rows, _int_rows, rank)
-from .numberfield import (FieldElement, _solve_fraction_free,
-                          is_algebraic_integer)
+                       _numerators, _over, _solve_fraction_free, rank)
+from .numberfield import is_algebraic_integer
 
 _UNITS = ((0, 0), (0, 1), (1, 0), (1, 1))  # E_00, E_01, E_10, E_11
 _TRANSPOSED = (0, 2, 1, 3)  # flattened entry rs of a 2x2 matrix -> sr
@@ -69,16 +67,16 @@ class TraceBasis(Immutable):
     """Four group elements whose trace functionals span the dual of the
     2x2 matrix space, their Gram matrix tr(g_i g_k) (reported only), the
     images alpha(E_ab) of the matrix units E_00, E_01, E_10, E_11, and the
-    inverse of g_1, which reconstruct() divides by.
+    products g_j g_1^-1, which reconstruct() sums.
 
     Linearly dependent elements raise RankDeficientError; independent ones
-    have det Gram = -det(V)^2 != 0, V the 4x4 matrix of their entries.  The
-    tables are all FieldElements when an element holds one.  A rational
-    basis also keeps the tables (_ints) and the products g_j g_1^-1
-    (_probe) as int numerators over one denominator each."""
+    have det Gram = -det(V)^2 != 0, V the 4x4 matrix of their entries.  A
+    singular g_1 raises SingularError.  The tables are all FieldElements
+    when an element holds one.  The basis also keeps the tables (_nums) and
+    the products g_j g_1^-1 (_probe) as numerators over one denominator
+    each."""
 
-    __slots__ = ("elements", "gram", "tables", "_ints", "_probe",
-                 "_first_inverse")
+    __slots__ = ("elements", "gram", "tables", "_nums", "_probe")
 
     def __init__(self, elements):
         elements = tuple(elements)
@@ -88,70 +86,44 @@ class TraceBasis(Immutable):
         # basis; its row a is row b of g_i and its other row is zero.  With
         # V[2r + s][i] = (g_i)_rs and W = V^-1 that is
         # A_ab[j][i] = W[j][2a] (g_i)_b0 + W[j][2a + 1] (g_i)_b1.
-        v = tuple(zip(*(g.rows[0] + g.rows[1] for g in elements)))
-        scaled = _int_rows(v)
+        # V = N / dv and N^-1 = z / d, so W = dv z / d, and its dv cancels
+        # the 1 / dv of the entries of g_i.
+        dv, n = _numerators(tuple(zip(*(g.rows[0] + g.rows[1]
+                                        for g in elements))))
         try:
-            if scaled is None:
-                w = Matrix(v).inverse().rows
-            else:
-                # V = N / dv and N^-1 = z / d, so W = dv z / d, and its dv
-                # cancels the 1 / dv of the entries of g_i
-                dv, n = scaled
-                d, z = _solve_fraction_free(
-                    [row + [int(i == j) for j in range(4)]
-                     for i, row in enumerate(n)], 4)
+            d, z = _solve_fraction_free(
+                [list(row) + [int(i == j) for j in range(4)]
+                 for i, row in enumerate(n)], 4)
         except SingularError:
             raise RankDeficientError(
                 "Gram matrix must be invertible 4x4") from None
-        first_inverse = elements[0].inverse()
-        if scaled is None:
-            # a basis with a FieldElement entry makes every entry one
-            fields = [x.field for g in elements for row in g.rows
-                      for x in row if isinstance(x, FieldElement)]
-            zero = fields[0].zero() if fields else 0
-            tables = tuple(Matrix(tuple(
-                tuple(wj[2 * a] * g.rows[b][0] + wj[2 * a + 1] * g.rows[b][1]
-                      + zero for g in elements) for wj in w))
-                for a, b in _UNITS)
-            gram = Matrix(tuple(tuple((a * b).trace() for b in elements)
-                                for a in elements))
-            ints = probe = None
-        else:
-            # entry (j, i) of A_ab, each table over d
-            den, nums = _lowest(d, [
-                [[zj[2 * a] * n[2 * b][i] + zj[2 * a + 1] * n[2 * b + 1][i]
-                  for i in range(4)] for zj in z] for a, b in _UNITS])
-            tables = tuple(_from_int_rows(den, t) for t in nums)
-            # entry (j, i) of A_00, A_01, A_10, A_11 as (w, x, y, z)
-            ints = den, tuple(tuple(zip(*(t[j] for t in nums)))
-                              for j in range(4))
-            # tr(g_i g_k) = sum_rs (g_i)_rs (g_k)_sr
-            gram = _from_int_rows(dv * dv, [
-                [sum(n[e][i] * n[_TRANSPOSED[e]][k] for e in range(4))
-                 for k in range(4)] for i in range(4)])
-            # g_j g_1^-1 = n_j adj(n_1) / det(n_1), n_j = dv g_j
-            p, q, r, s = (row[0] for row in n)
-            adj = ((s, -q), (-r, p))
-            probe = _lowest(p * s - q * r, [
-                [[n[2 * row][j] * adj[0][col] + n[2 * row + 1][j] * adj[1][col]
-                  for col in range(2)] for row in range(2)] for j in range(4)])
+        # entry (j, i) of A_ab, each table over d.  The pivot d has every
+        # entry of V among its operands, so it is a FieldElement when V
+        # holds one, and then so is every x / d: the tables are all
+        # FieldElements.
+        nums = [[[zj[2 * a] * n[2 * b][i] + zj[2 * a + 1] * n[2 * b + 1][i]
+                  for i in range(4)] for zj in z] for a, b in _UNITS]
+        # g_j g_1^-1 = n_j adj(n_1) / det(n_1), n_j = dv g_j
+        p, q, r, s = (row[0] for row in n)
+        det = p * s - q * r
+        if not det:
+            raise SingularError("matrix is singular")
+        adj = ((s, -q), (-r, p))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_probe", probe)
-        object.__setattr__(self, "_first_inverse", first_inverse)
+        # tr(g_i g_k) = sum_rs (g_i)_rs (g_k)_sr
+        object.__setattr__(self, "gram", _over(dv * dv, [
+            [sum(n[e][i] * n[_TRANSPOSED[e]][k] for e in range(4))
+             for k in range(4)] for i in range(4)]))
+        object.__setattr__(self, "tables", tuple(_over(d, t) for t in nums))
+        # entry (j, i) of A_00, A_01, A_10, A_11 as (w, x, y, z)
+        object.__setattr__(self, "_nums", (d, tuple(
+            tuple(zip(*(t[j] for t in nums))) for j in range(4))))
+        object.__setattr__(self, "_probe", (det, [
+            [[n[2 * row][j] * adj[0][col] + n[2 * row + 1][j] * adj[1][col]
+              for col in range(2)] for row in range(2)] for j in range(4)]))
 
     def __repr__(self):
         return f"TraceBasis({list(self.elements)!r})"
-
-
-def _lowest(d, tables):
-    """(d / g, tables / g) for g = gcd(d, every entry): the same fractions
-    over the least denominator (negative when d is); tables is a list of
-    int matrices."""
-    g = gcd(d, *(x for t in tables for row in t for x in row))
-    return d // g, [[[x // g for x in row] for row in t] for t in tables]
 
 
 def select_basis(words) -> TraceBasis:
@@ -196,22 +168,14 @@ def _select_layered(layers) -> TraceBasis:
 def alpha(g: Matrix, basis: TraceBasis) -> Matrix:
     """4x4 image of g: column i expresses g*g_i in the basis g_1..g_4.
 
-    g_00*A_00 + g_01*A_01 + g_10*A_10 + g_11*A_11 for the unit tables A_ab;
-    every entry is a FieldElement when g or the basis holds one.  For
-    rational g and tables, each entry is one integer dot product of the
-    numerators over the product of the two common denominators."""
-    ints = basis._ints
-    scaled = ints and _int_rows(g.rows)
-    if scaled:
-        D, ((a, b), (c, d)) = scaled
-        return _from_int_rows(D * ints[0], [
-            [a * w + b * x + c * y + d * z for w, x, y, z in row]
-            for row in ints[1]])
-    (g00, g01), (g10, g11) = g.rows
-    return Matrix(tuple(
-        tuple(g00 * w + g01 * x + g10 * y + g11 * z
-              for w, x, y, z in zip(*rows))
-        for rows in zip(*(t.rows for t in basis.tables))))
+    g_00*A_00 + g_01*A_01 + g_10*A_10 + g_11*A_11 for the unit tables A_ab,
+    each entry one dot product of the numerators of g and of the tables
+    over the product of the two denominators; every entry is a
+    FieldElement when g or the basis holds one."""
+    D, ((a, b), (c, d)) = _numerators(g.rows)
+    den, rows = basis._nums
+    return _over(D * den, [[a * w + b * x + c * y + d * z
+                            for w, x, y, z in row] for row in rows])
 
 
 def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
@@ -220,23 +184,16 @@ def reconstruct(m4: Matrix, basis: TraceBasis) -> Matrix:
     Column 0 of the image gives the coordinates of g*g_1 in the basis
     (this is the elementary-matrix probe behind injectivity: the trace
     functional of g*g_1 determines all four of its entries), so g is
-    sum_j m4[j, 0] g_j g_1^-1.  Over Q each entry is one integer dot product
-    with the numerators of the products g_j g_1^-1 that the basis keeps.
+    sum_j m4[j, 0] g_j g_1^-1: one dot product per entry with the
+    numerators of the products g_j g_1^-1 that the basis keeps.
     """
-    column = basis._probe and _int_rows([[row[0] for row in m4.rows]])
-    if column:
-        return _from_int_rows(
-            *_probe_rows(column[0], column[1][0], basis._probe))
-    combo = None
-    for j, gj in enumerate(basis.elements):
-        term = m4[j, 0] * gj
-        combo = term if combo is None else combo + term
-    return combo * basis._first_inverse
+    D, (column,) = _numerators([[row[0] for row in m4.rows]])
+    return _over(*_probe_rows(D, column, basis._probe))
 
 
 def _probe_rows(D, n, probe):
     """(D * E, numerators) of sum_j (n_j / D) g_j g_1^-1, from the probe
-    table (E, numerators of g_j g_1^-1) of a rational basis."""
+    table (E, numerators of g_j g_1^-1) of a basis."""
     E, (p0, p1, p2, p3) = probe
     return D * E, [[n[0] * p0[r][s] + n[1] * p1[r][s] + n[2] * p2[r][s]
                     + n[3] * p3[r][s] for s in range(2)] for r in range(2)]
@@ -266,48 +223,20 @@ def _poly_square(coeffs):
     return tuple(out)
 
 
-def _int_product(sa, sb):
+def _product(sa, sb):
     """(Da * Db, A B) for matrices A / Da and B / Db given by numerators."""
     (Da, A), (Db, B) = sa, sb
     cols = tuple(zip(*B))
     return Da * Db, [[_dot(r, c) for c in cols] for r in A]
 
 
-def _sample_product(a: Matrix, b: Matrix, sa, sb) -> Matrix:
-    """a * b, on the numerators when both are rational."""
-    if sa is None or sb is None:
-        return a * b
-    return _from_int_rows(*_int_product(sa, sb))
-
-
-def _is_product(m: Matrix, ma: Matrix, mb: Matrix, sa, sb) -> bool:
-    """m == ma * mb; for rational matrices, with sa and sb the numerators of
-    ma and mb, by cross-multiplied integer numerators, without forming the
-    product."""
-    s = _int_rows(m.rows)
-    if s is None or sa is None or sb is None:
-        return m == ma * mb
-    (D, rows), (den, prod) = s, _int_product(sa, sb)
-    return all(x * den == D * y
-               for row, prod_row in zip(rows, prod)
-               for x, y in zip(row, prod_row))
-
-
-def _sample_checks(g: Matrix, m: Matrix, basis: TraceBasis):
+def _checks(sg, sm, probe):
     """(m is I, the probe rebuilds g, charpoly(m) = charpoly(g)^2,
-    det m = 1, every entry of m is an algebraic integer), on the entries
-    themselves."""
-    charpoly = m.charpoly()
-    return (m.is_identity(), reconstruct(m, basis) == g,
-            charpoly == _poly_square(g.charpoly()), charpoly[0] == 1,
-            all(is_algebraic_integer(x) for row in m.rows for x in row))
-
-
-def _rational_checks(sg, sm, probe):
-    """_sample_checks from the numerators sg of g and sm of its image m
-    over a rational basis: each comparison of fractions is one of
-    cross-multiplied ints.  D = 1 says that every entry of m is an
-    integer."""
+    det m = 1, every entry of m is an algebraic integer) from the
+    numerators sg of g and sm of its image m: each comparison of fractions
+    is one of cross-multiplied numerators.  The entries are integral when
+    their common denominator is 1 and each numerator is an algebraic
+    integer (over Q that is D = 1 alone)."""
     (Dg, g), (D, m) = sg, sm
     identity = D == 1 and all(x == int(i == j) for i, row in enumerate(m)
                               for j, x in enumerate(row))
@@ -315,11 +244,13 @@ def _rational_checks(sg, sm, probe):
     probe_ok = all(x * Dg == y * den for row, g_row in zip(rebuilt, g)
                    for x, y in zip(row, g_row))
     # coefficient k (leading first) over D^k and Dg^k
-    big = _faddeev_leverrier(m, floordiv)
-    square = _poly_square(_faddeev_leverrier(g, floordiv))
+    big = _faddeev_leverrier(m)
+    square = _poly_square(_faddeev_leverrier(g))
     square_ok = all(c * Dg ** k == t * D ** k
                     for k, (c, t) in enumerate(zip(big, square)))
-    return identity, probe_ok, square_ok, big[4] == D ** 4, D == 1
+    integral = D == 1 and all(is_algebraic_integer(x)
+                              for row in m for x in row)
+    return identity, probe_ok, square_ok, big[4] == D ** 4, integral
 
 
 def verify_embedding(rep: Rep4, samples) -> dict:
@@ -332,32 +263,30 @@ def verify_embedding(rep: Rep4, samples) -> dict:
     of the 4x4 entries.  Failures are collected in the report, not raised.
     Each sample is mapped once, so n samples take 2n - 1 calls of rep.
 
-    Over Q every sample and image is converted once to int numerators over
-    one denominator, and every check runs on those; an entry is an
-    algebraic integer exactly when its denominator is 1.
+    Every sample and image is converted once to numerators over one
+    denominator (_numerators), and every check runs on those.
     """
     samples = list(samples)
-    images = [rep(g) for g in samples]
-    sample_ints = [_int_rows(g.rows) for g in samples]
-    image_ints = [_int_rows(m.rows) for m in images]
+    image_nums = [_numerators(rep(g).rows) for g in samples]
+    sample_nums = [_numerators(g.rows) for g in samples]
     failures = []
     pairs = 0
     for k in range(len(samples) - 1):
         pairs += 1
-        a, b = samples[k], samples[k + 1]
-        product = _sample_product(a, b, sample_ints[k], sample_ints[k + 1])
-        if not _is_product(rep(product), images[k], images[k + 1],
-                           image_ints[k], image_ints[k + 1]):
-            failures.append(f"homomorphism: {a!r} * {b!r}")
+        # rep(a b) against the product of the images, cross-multiplied
+        D, rows = _numerators(rep(_over(*_product(
+            sample_nums[k], sample_nums[k + 1]))).rows)
+        den, prod = _product(image_nums[k], image_nums[k + 1])
+        if not all(x * den == D * y for row, prod_row in zip(rows, prod)
+                   for x, y in zip(row, prod_row)):
+            failures.append(
+                f"homomorphism: {samples[k]!r} * {samples[k + 1]!r}")
     probe = rep.basis._probe
     identity_images = 0
     entry_integrality = []
-    for g, m, sg, sm in zip(samples, images, sample_ints, image_ints):
-        if probe and sg and sm:
-            checks = _rational_checks(sg, sm, probe)
-        else:
-            checks = _sample_checks(g, m, rep.basis)
-        identity, probe_ok, square_ok, det_one, integral = checks
+    for g, sg, sm in zip(samples, sample_nums, image_nums):
+        identity, probe_ok, square_ok, det_one, integral = _checks(
+            sg, sm, probe)
         if identity:
             identity_images += 1
             if not g.is_identity():

@@ -365,6 +365,18 @@ def test_check_proper_finite_group_stops_at_its_first_empty_layer(capsys):
     assert rc == 0 and json.loads(out)["result"]["word_count"] == 4
 
 
+def test_check_proper_walk_limit_is_unsupported(capsys):
+    # SL(2, Z) grows by about 1.6x per layer: length 23 would pass the
+    # walked-element limit, so the walk stops there, whatever max_len is
+    rc, out = run(["check-proper", "--group", SL2Z, "--C", "2",
+                   "--max-len", str(10 ** 9)], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert strict_json(out)["result"] == {
+        "code": "Unsupported",
+        "message": "a word ball of length 23 may walk 1227444 elements, "
+                   "over the limit of 1000000"}
+
+
 def test_check_proper_violation_exit_3(capsys, monkeypatch):
     real = cli.properness_check
     bogus = mat([[1, 50], [0, 1]])
@@ -685,6 +697,25 @@ def test_usage_errors_from_every_layer(capsys, argv, message):
     rc, out = run(argv, capsys)
     assert rc == 1
     assert json.loads(out)["result"] == {"code": "Usage", "message": message}
+
+
+@pytest.mark.parametrize("x", ["1e4301", "-2.5E-4301", "1e999999999",
+                               "3e1_000_000"])
+def test_decimal_exponent_beyond_the_digit_limit_is_usage_error(capsys, x):
+    # 10**|exponent| would be built in full; a numerator that long is
+    # already refused by Python's limit on the digits of an int
+    rc, out = run(["valuate", "--p", "3", "--x", json.dumps(x)], capsys)
+    assert rc == 1
+    assert json.loads(out)["result"] == {
+        "code": "Usage",
+        "message": f"rational {x!r} has a decimal exponent beyond +-4300"}
+
+
+@pytest.mark.parametrize("x, value", [("1e4300", 0), ("3e-4300", 1),
+                                      ("9E2", 2)])
+def test_decimal_exponent_at_the_digit_limit_is_read(capsys, x, value):
+    rc, out = run(["valuate", "--p", "3", "--x", json.dumps(x)], capsys)
+    assert rc == 0 and json.loads(out)["result"] == {"value": value}
 
 
 def test_missing_required_argument_exit_1(capsys):

@@ -560,3 +560,134 @@ def test_trace_basis_refuses_a_singular_first_element():
         TraceBasis(UNITS)
     with pytest.raises(RankDeficientError):
         TraceBasis([UNITS[0], UNITS[0], UNITS[1], UNITS[2]])
+
+
+# The same formulas serve Q(gamma), each field entry being its own
+# numerator over 1.  Over Q(i) and Q(omega) the ring of integers is
+# Z[gamma], so an entry is an algebraic integer exactly when every
+# power-basis coefficient is an integer; the oracle below runs on Matrix
+# arithmetic and reads integrality that way.
+
+QI = make_field([1, 0, 1])
+QW = make_field([1, 1, 1])
+
+
+def _field_letters(k):
+    """S, T, [[1, gamma], [0, 1]], [[1, 0], [gamma/2, 1]] and inverses."""
+    one, zero, gamma = k.one(), k.zero(), k.gamma()
+    gens = [S, T, mat([[one, gamma], [zero, one]]),
+            mat([[one, zero], [gamma / 2, one]])]
+    return gens + [g.inverse() for g in gens]
+
+
+def _coefficients_integral(x):
+    coeffs = x.coeffs if isinstance(x, FieldElement) else (x,)
+    return all(c.denominator == 1 for c in coeffs)
+
+
+def _field_oracle_report(basis, samples, image):
+    """verify_embedding's report from image(g), the 4x4 Matrix image of g,
+    by Matrix arithmetic, det_leibniz and charpolys at five points."""
+    g1_inverse = basis.elements[0].inverse()
+    failures = [f"homomorphism: {a!r} * {b!r}"
+                for a, b in zip(samples, samples[1:])
+                if image(a) * image(b) != image(a * b)]
+    identity_images, integrality = 0, []
+    for g in samples:
+        m = image(g)
+        if m == Matrix.identity(4):
+            identity_images += 1
+            if g != Matrix.identity(2):
+                failures.append(f"injectivity: nonidentity {g!r} maps to I")
+        combo = m[0, 0] * basis.elements[0]
+        for j in range(1, 4):
+            combo = combo + m[j, 0] * basis.elements[j]
+        if combo * g1_inverse != g:
+            failures.append(f"probe: reconstruction mismatch for {g!r}")
+        if any(_charpoly_at(_rows(m), x) != _charpoly_at(_rows(g), x) ** 2
+               for x in range(5)):
+            failures.append(f"characteristic square identity: {g!r}")
+        if det_leibniz(_rows(m)) != 1:
+            failures.append(f"determinant: {g!r}")
+        integrality.append(all(_coefficients_integral(x)
+                               for row in m.rows for x in row))
+    return {"samples": len(samples), "homomorphism_pairs": len(samples) - 1,
+            "identity_images": identity_images,
+            "entry_integrality": integrality,
+            "all_entries_integral": all(integrality),
+            "failures": failures, "ok": not failures}
+
+
+class FieldNudgedRep(Rep4):
+    """alpha, with gamma/P61^2 added to entry (i, j) of one sample's
+    image."""
+
+    def __init__(self, basis, target, i, j, nudge):
+        super().__init__(basis)
+        self.target, self.i, self.j, self.nudge = target, i, j, nudge
+        self.calls = 0
+
+    def __call__(self, g):
+        self.calls += 1
+        m = super().__call__(g)
+        if g != self.target:
+            return m
+        rows = _rows(m)
+        rows[self.i][self.j] += self.nudge
+        return Matrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QI, QW]), st.lists(_words, max_size=6),
+       st.lists(_words, min_size=1, max_size=4), st.data())
+def test_field_report_matches_the_matrix_oracle(k, stream, samples, data):
+    letters = _field_letters(k)
+    u = letters[2]
+    # the fallback keeps a basis in reach whatever the drawn words span
+    stream = [_word(letters, w) for w in stream] + [
+        Matrix.identity(2), S, u, S * u]
+    samples = [_word(letters, w) for w in samples]
+    basis = select_basis(stream)
+    field_basis = any(isinstance(x, FieldElement) for g in basis.elements
+                      for row in g.rows for x in row)
+    kind = FieldElement if field_basis else Fraction
+    for e, table in zip(UNITS, basis.tables):
+        assert table == alpha_by_solve(e, basis)
+        assert all(type(x) is kind for row in table.rows for x in row)
+    images = {}
+
+    def image(h):
+        if h not in images:
+            images[h] = alpha_by_solve(h, basis)
+        return images[h]
+
+    for h in samples:
+        assert alpha(h, basis) == image(h)
+        assert reconstruct(image(h), basis) == h
+    report = verify_embedding(Rep4(basis), samples)
+    assert report == _field_oracle_report(basis, samples, image)
+    assert report["ok"]
+    # a nudge of gamma/P61^2 at a drawn entry of a drawn sample's image
+    nudge = k.gamma() / (P61 * P61)
+    target = data.draw(st.sampled_from(samples))
+    i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    rep = FieldNudgedRep(basis, target, i, j, nudge)
+    nudged = verify_embedding(rep, samples)
+    assert rep.calls == 2 * len(samples) - 1
+
+    def nudged_image(h):
+        m = image(h)
+        if h != target:
+            return m
+        rows = _rows(m)
+        rows[i][j] += nudge
+        return Matrix(tuple(map(tuple, rows)))
+
+    assert nudged == _field_oracle_report(basis, samples, nudged_image)
+    assert not nudged["entry_integrality"][samples.index(target)]
+    kinds = {f.split(":")[0] for f in nudged["failures"]}
+    assert kinds <= {"homomorphism", "probe",
+                     "characteristic square identity", "determinant"}
+    # the probe reads column 0 only
+    assert (f"probe: reconstruction mismatch for {target!r}"
+            in nudged["failures"]) == (j == 0)
