@@ -3,7 +3,9 @@
 Entries may be any scalar type with exact +, -, *, / and equality against 0
 and 1: in practice ``fractions.Fraction`` or ``sl2kit.numberfield.FieldElement``
 (the two coerce against each other, so mixed matrices behave).  Floats are
-rejected on construction; everything in this module is exact.
+rejected on construction; everything in this module is exact.  The
+package's linear algebra runs one fraction-free elimination, _eliminate,
+on int numerators whenever the entries are rational (_numerators).
 
 Matrices are immutable and hashable, which is what the tree and word-ball
 code rely on for deduplication.  ``Immutable`` is the guard that every value
@@ -127,14 +129,18 @@ class Matrix(Immutable):
         return t
 
     def det(self):
-        """Closed forms for n <= 2, else the pivot product of _row_reduce."""
+        """Closed forms for n <= 2, else sign * d / D^n from _eliminate on
+        the numerators of D*A."""
         r = self.rows
         if self.n == 1:
             return r[0][0]
         if self.n == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        pivots, det = _row_reduce([list(row) for row in r], self.n)
-        return det if len(pivots) == self.n else Fraction(0)
+        D, a = _numerators(r)
+        pivots, d, sign = _eliminate(list(a), self.n)
+        if len(pivots) < self.n:
+            return Fraction(0)
+        return Fraction(sign * d, D ** self.n) if type(d) is int else sign * d
 
     def inverse(self) -> "Matrix":
         if self.n == 2:
@@ -145,12 +151,14 @@ class Matrix(Immutable):
                 d = Fraction(d)  # int / int is a float
             (a, b), (c, e) = self.rows
             return Matrix(((e / d, -b / d), (-c / d, a / d)))
+        # (D*A) X = D*I has the solution X = A^-1, with X = z / d
         n = self.n
-        aug = [list(self.rows[i]) + [Fraction(1) if i == j else Fraction(0)
-                                     for j in range(n)] for i in range(n)]
-        if len(_row_reduce(aug, n)[0]) < n:
+        _, a = _numerators([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(self.rows)])
+        pivots, d, _ = _eliminate(a, n)
+        if len(pivots) < n:
             raise SingularError("matrix is singular")
-        return Matrix(tuple(tuple(row[n:]) for row in aug))
+        return _over(d, [row[n:] for row in a])
 
     def charpoly(self) -> tuple:
         """Characteristic polynomial det(xI - A), coefficients constant-first.
@@ -184,7 +192,7 @@ class Matrix(Immutable):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (generic over the scalar type)
+# exact linear algebra: numerators, one elimination, Faddeev-LeVerrier
 # ---------------------------------------------------------------------------
 
 def _numerators(rows):
@@ -214,32 +222,6 @@ def _over(D, rows) -> "Matrix":
     r = Fraction(1, D)
     return Matrix(tuple(tuple(Fraction(x, D) if type(x) is int else x * r
                               for x in row) for row in rows))
-
-
-def _solve_fraction_free(rows, m: int):
-    """(d, z) with z / d the solution of the m x (m + k) augmented system
-    rows, k >= 1 right-hand sides: row i of z holds the k solution entries
-    of unknown i.  Gauss-Jordan with Bareiss's divisions by the previous
-    pivot, which are exact, so every pivot ends as d = +-det (Bareiss,
-    Math. Comp. 22, 1968).  An int dividend is floor-divided, exactly, so
-    int rows stay ints; any other exact scalar is divided.  A singular left
-    block raises SingularError."""
-    prev = 1
-    for k in range(m):
-        if not rows[k][k]:
-            i = next((i for i in range(k + 1, m) if rows[i][k]), None)
-            if i is None:
-                raise SingularError("matrix is singular")
-            rows[k], rows[i] = rows[i], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [t // prev if type(t := pivot * x - f * y) is int
-                           else t / prev for x, y in zip(rows[i], pivot_row)]
-        prev = pivot
-    return prev, [row[m:] for row in rows]
 
 
 def _faddeev_leverrier(a):
@@ -272,40 +254,48 @@ def _faddeev_leverrier(a):
     return coeffs_desc
 
 
-def _row_reduce(aug, ncols):
-    """Gauss-Jordan elimination on the first ``ncols`` columns, in place.
-
-    ``aug`` is a list of row lists (extra columns ride along).  Pivoting is
-    deterministic: columns left to right, the first usable row, each pivot row
-    scaled to a leading one and cleared above and below.  Returns the pivot
-    columns (row i of the result holds the pivot of column ``pivots[i]``) and
-    the pivot product signed by the row swaps: the determinant of a square
-    block with a pivot in every column.
-    """
-    m = len(aug)
-    pivots = []
-    det = 1
+def _eliminate(rows, ncols: int):
+    """Gauss-Jordan on the first ncols columns of the row lists rows, in
+    place and fraction-free (Bareiss, Math. Comp. 22, 1968).  Pivots are
+    deterministic: columns left to right, the first usable row; a column
+    without one is skipped.  A step with pivot p sets each other row to
+    (p * row - f * pivot row) / d, f its entry in the pivot column and d
+    the previous pivot (none before the first); the division is exact.
+    Returns (pivots, d, sign): row i holds the pivot of column pivots[i],
+    every pivot ends as the last one, d, and a square block with a pivot
+    in every column has determinant sign * d.  All-int rows are
+    floor-divided; other entries are multiplied by 1/d, a Fraction for an
+    int d.  A row with f == 0 is only scaled: f * y would turn Fractions
+    into FieldElements when f is a FieldElement zero."""
+    ints = all(type(x) is int for row in rows for x in row)
+    pivots, d, sign = [], 1, 1
     for col in range(ncols):
-        row = len(pivots)
-        if row == m:
-            break
-        pr = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pr is None:
+        k = len(pivots)
+        for i in range(k, len(rows)):
+            if rows[i][col]:
+                break
+        else:
             continue
-        if pr != row:
-            aug[row], aug[pr] = aug[pr], aug[row]
-            det = -det
-        pv = aug[row][col]
-        det = det * pv
-        if isinstance(pv, int):
-            pv = Fraction(pv)  # int / int is a float
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[col]
+        if k and not ints:
+            r = Fraction(1, d) if type(d) is int else 1 / d
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[col]
+            if ints:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            else:
+                t = ([p * x - f * y for x, y in zip(row, top)] if f
+                     else [p * x for x in row])
+                rows[i] = [x * r for x in t] if k else t
+        d = p
         pivots.append(col)
-    return pivots, det
+    return pivots, d, sign
 
 
 def linear_solve(rows, rhs):
@@ -314,22 +304,25 @@ def linear_solve(rows, rhs):
     ``rows`` is a list of equations (len m), each of length n; overdetermined
     systems are fine.  Returns a length-n list, with free variables set to
     zero, or None when the system is inconsistent.  Pivoting is deterministic:
-    first usable row, columns left to right.
+    first usable row, columns left to right.  The elimination runs on the
+    numerators of D*(A | rhs), whose D cancels.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots, _ = _row_reduce(aug, n)
-    if any(aug[r][n] != 0 for r in range(len(pivots), m)):
+    _, aug = _numerators([list(rows[i]) + [rhs[i]] for i in range(m)])
+    pivots, d, _ = _eliminate(aug, n)
+    if any(aug[r][n] for r in range(len(pivots), m)):
         return None
     zero = rhs[0] - rhs[0] if m else 0
     sol = [zero for _ in range(n)]
     for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
+        x = aug[r][n]
+        sol[col] = Fraction(x, d) if type(x) is type(d) is int else x / d
     return sol
 
 
 def rank(rows) -> int:
-    """Rank of a rectangular exact matrix, by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    return len(_row_reduce(work, len(work[0]) if work else 0)[0])
+    """Rank of a rectangular exact matrix, by _eliminate on its
+    numerators."""
+    a = list(_numerators(rows)[1])
+    return len(_eliminate(a, len(a[0]) if a else 0)[0])

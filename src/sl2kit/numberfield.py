@@ -9,7 +9,7 @@ as Fractions (``coeffs``) are built only when read.  Every operation is
 exact and runs on ints: a product is the field's table of integer structure
 constants (NumberField._terms) on the numerators over the product of the
 denominators, an inverse solves the m x m system of that table fraction-free
-(Bareiss), and each result is divided by one gcd.
+(matrices._eliminate), and each result is divided by one gcd.
 Irreducibility for these degrees is decided by the rational-root test plus,
 for quartics, an exhaustive search for integer quadratic factors (Gauss's
 lemma makes that complete for monic integer polynomials).
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import NotMonicError, ReducibleError
-from .matrices import Immutable, _solve_fraction_free, linear_solve
+from .matrices import Immutable, _eliminate
 
 MAX_DEGREE = 4
 
@@ -326,9 +326,9 @@ class FieldElement(Immutable):
         rows = [[0] * m + [int(r == 0)] for r in range(m)]
         for r, s, t, w in self.field._terms:
             rows[r][t] += w * a[s]
-        d, z = _solve_fraction_free(rows, m)
+        d = _eliminate(rows, m)[1]
         den = self._den if d > 0 else -self._den
-        return _normal(self.field, [den * row[0] for row in z], abs(d))
+        return _normal(self.field, [den * row[m] for row in rows], abs(d))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -407,26 +407,26 @@ class FieldElement(Immutable):
 def minimal_polynomial(x) -> tuple:
     """Monic minimal polynomial of x over Q, coefficients constant-first.
 
-    The power vectors 1, x, x^2, ... are accumulated in the field's power
-    basis and the first linear dependence is solved exactly (deterministic
-    first-nonzero pivoting), so the degree always divides the field degree.
+    One elimination on the m x (m + 1) int matrix whose column k holds the
+    numerators of x^k, that is D_k x^k for its denominator D_k.  The first
+    column k without a pivot is the first power in the span of those
+    before it, so k is the degree, which divides m, and that column, z,
+    reduced with last pivot d, gives x^k = sum_r (z_r D_r / (d D_k)) x^r.
     """
     if isinstance(x, bool):
         raise TypeError("exact scalars only")
     if isinstance(x, (int, Fraction)):
         return (Fraction(-x), Fraction(1))
     m = x.field.degree
-    vectors = [x.field.one().coeffs]
-    cur = x.field.one()
-    for k in range(1, m + 1):
-        cur = cur * x
-        vectors.append(cur.coeffs)
-        rows = [[vectors[j][i] for j in range(k)] for i in range(m)]
-        rhs = [-vectors[k][i] for i in range(m)]
-        sol = linear_solve(rows, rhs)
-        if sol is not None:
-            return tuple(sol) + (Fraction(1),)
-    raise AssertionError("unreachable: dependence must occur by degree m")
+    powers = [x.field.one()]
+    for _ in range(m):
+        powers.append(powers[-1] * x)
+    rows = [[y._nums[i] for y in powers] for i in range(m)]
+    pivots, d, _ = _eliminate(rows, m + 1)
+    k = len(pivots)  # the pivots are the columns 0, ..., k - 1
+    dk = d * powers[k]._den
+    return tuple(Fraction(-rows[r][k] * powers[r]._den, dk)
+                 for r in range(k)) + (Fraction(1),)
 
 
 def is_algebraic_integer(x) -> bool:

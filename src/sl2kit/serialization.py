@@ -15,6 +15,7 @@ their usual Sl2KitError subclasses.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .bttree import canonicalize
@@ -32,9 +33,13 @@ def float12(x) -> float:
 
 def encode_rational(x) -> str:
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f)  # "n" or "n/d"
+    except ValueError:  # more digits than Python writes as a string
+        raise UnsupportedError(
+            "a rational in the result has a numerator or denominator of "
+            f"more than {sys.get_int_max_str_digits()} digits, too long "
+            "to write") from None
 
 
 _EXPONENT_LIMIT = 4300  # Python's default digit limit for int(str)

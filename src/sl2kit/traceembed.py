@@ -28,7 +28,7 @@ The layer runs on numerators.  A rational matrix is read as int
 numerators over one common denominator, and a matrix with a field entry as
 its own entries over 1 (matrices._numerators), so one set of formulas
 serves Q and Q(gamma).  TraceBasis inverts the numerators of V
-fraction-free (Bareiss, as FieldElement.inverse does) and keeps the four
+fraction-free (_eliminate, as FieldElement.inverse does) and keeps the four
 tables, and the products g_j g_1^-1 that reconstruct sums, as numerators
 over one denominator each.  So alpha(g) of a rational g costs one integer
 dot product and one Fraction per entry, and reconstruct one dot product
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .errors import DetNotOneError, RankDeficientError, SingularError
 from .matrices import (Immutable, Matrix, _dot, _faddeev_leverrier,
-                       _numerators, _over, _solve_fraction_free, rank)
+                       _eliminate, _numerators, _over, rank)
 from .numberfield import is_algebraic_integer
 
 _UNITS = ((0, 0), (0, 1), (1, 0), (1, 1))  # E_00, E_01, E_10, E_11
@@ -90,13 +90,12 @@ class TraceBasis(Immutable):
         # the 1 / dv of the entries of g_i.
         dv, n = _numerators(tuple(zip(*(g.rows[0] + g.rows[1]
                                         for g in elements))))
-        try:
-            d, z = _solve_fraction_free(
-                [list(row) + [int(i == j) for j in range(4)]
-                 for i, row in enumerate(n)], 4)
-        except SingularError:
-            raise RankDeficientError(
-                "Gram matrix must be invertible 4x4") from None
+        aug = [list(row) + [int(i == j) for j in range(4)]
+               for i, row in enumerate(n)]
+        pivots, d, _ = _eliminate(aug, 4)
+        if len(pivots) < 4:
+            raise RankDeficientError("Gram matrix must be invertible 4x4")
+        z = [row[4:] for row in aug]
         # entry (j, i) of A_ab, each table over d.  The pivot d has every
         # entry of V among its operands, so it is a FieldElement when V
         # holds one, and then so is every x / d: the tables are all

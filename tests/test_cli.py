@@ -595,6 +595,32 @@ def test_check_integral_golden(capsys):
     assert rc == 0 and out == expect
 
 
+def test_check_integral_result_beyond_the_digit_limit_is_unsupported(capsys):
+    # both entries are read, but the trace 10^4000 + 10^-4000 has 8,001
+    # digits, more than Python writes as a string
+    rc, out = run(["check-integral", "--g",
+                   '[["1e4000","0"],["0","1e-4000"]]'], capsys)
+    assert rc == 2
+    assert json.loads(out)["result"] == {
+        "code": "Unsupported",
+        "message": "a rational in the result has a numerator or denominator "
+                   "of more than 4300 digits, too long to write"}
+
+
+def test_classify_mixed_type_golden(capsys):
+    # a FieldElement zero among Fraction entries leaves the conjugator
+    # rational: the elimination only scales a row whose multiplier is 0
+    expect = ('{"diagnostics": [], "result": {"conjugated_basis": '
+              '[[["1", "0"], ["0", "-1"]], [[["0", "0"], ["1", "0"]], '
+              '[["0", "0"], ["0", "0"]]]], "conjugator": [["1", "0"], '
+              '["0", "1"]], "kind": "upper-triangular", "verified": true}, '
+              '"status": "ok"}\n')
+    rc, out = run(["classify", "--basis",
+                   '{"minpoly": [1, 0, 1], "basis": [[["1", "0"], '
+                   '["0", "-1"]], [["0", "1"], [["0", "0"], "0"]]]}'], capsys)
+    assert rc == 0 and out == expect
+
+
 def test_classify_golden(capsys):
     rc, out = run(["classify", "--basis",
                    '[[["0","0"],["1","0"]],[["1/2","0"],["0","-1/2"]]]'],

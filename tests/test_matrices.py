@@ -282,32 +282,46 @@ def test_rank():
     assert rank([[10 ** 17, 1], [10 ** 17 + 1, 1]]) == 2
 
 
-ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+QI = make_field([1, 0, 1])
+FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# Q(i) draws include zeros and rational values; a mixed system draws each
+# entry from any of the three kinds
+KINDS = [st.integers(-3, 3), FRACTIONS,
+         st.builds(lambda a, b: QI.element([a, b]), FRACTIONS,
+                   st.integers(-1, 1))]
+ENTRIES = st.sampled_from(KINDS + [st.one_of(KINDS)])
+
+
+def _combine(coeffs, rows):
+    """sum(c * row) from the first term on, in the type the entries give
+    (an int start would be lifted into the field; ints stay ints)."""
+    return [sum((c * row[j] for c, row in zip(coeffs[1:], rows[1:])),
+                coeffs[0] * rows[0][j]) for j in range(len(rows[0]))]
 
 
 @st.composite
-def exact_rows(draw, m, n):
-    """An m x n list of Fraction rows; half the time the last row is a
-    combination of the others, so singular matrices come up often."""
-    a = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+def exact_rows(draw, m, n, entries):
+    """An m x n list of rows; half the time the last row is a combination
+    of the others, so singular matrices come up often."""
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
     if m > 1 and draw(st.booleans()):
-        c = [draw(ENTRIES) for _ in range(m - 1)]
-        a[-1] = [sum((c[i] * a[i][j] for i in range(m - 1)), Fraction(0))
-                 for j in range(n)]
+        a[-1] = _combine([draw(entries) for _ in range(m - 1)], a[:-1])
     return a
 
 
 @st.composite
 def exact_systems(draw):
-    """(A, b) with A of size m x n, 1 <= m, n <= 4; b is A times a random
-    vector half the time, so overdetermined systems can be consistent."""
+    """(A, b) with A of size m x n, 1 <= m, n <= 4, entries of one kind or
+    mixed; b is A times a random vector half the time, so overdetermined
+    systems can be consistent."""
+    entries = draw(ENTRIES)
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    a = draw(exact_rows(m, n))
+    a = draw(exact_rows(m, n, entries))
     if draw(st.booleans()):
-        x = [draw(ENTRIES) for _ in range(n)]
-        b = [sum((r[j] * x[j] for j in range(n)), Fraction(0)) for r in a]
+        x = [draw(entries) for _ in range(n)]
+        b = _combine(x, [list(col) for col in zip(*a)])
     else:
-        b = [draw(ENTRIES) for _ in range(m)]
+        b = [draw(entries) for _ in range(m)]
     return a, b
 
 
@@ -329,11 +343,15 @@ def test_row_reduction_matches_minor_oracles(system):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: exact_rows(n, n)))
+@given(st.tuples(st.integers(1, 4), ENTRIES).flatmap(
+    lambda drawn: exact_rows(drawn[0], drawn[0], drawn[1])))
 def test_inverse_matches_adjugate(a):
+    # a raw Matrix keeps int entries, which mat would lift to Fractions
+    m = Matrix(tuple(tuple(row) for row in a))
+    assert m.det() == det_leibniz(a)
     expected = inverse_by_adjugate(a)
     if expected is None:
         with pytest.raises(SingularError):
-            mat(a).inverse()
+            m.inverse()
     else:
-        assert mat(a).inverse() == mat(expected)
+        assert m.inverse() == mat(expected)

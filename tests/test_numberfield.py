@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import poly_mulmod
+from oracles import poly_mulmod, rank_by_minors
 
 from sl2kit import (ArchimedeanEmbedding, FieldElement, NotMonicError,
                     ReducibleError, UnsupportedError, is_algebraic_integer,
@@ -176,6 +176,33 @@ def test_minimal_polynomial_annihilates():
             power = power * x
         assert acc == 0
         assert mp[-1] == 1
+
+
+# Q(i), Q(omega), Q(cbrt 2), Q(2^(1/4)), Q(zeta_8), x^4 + x + 1; sparse
+# coefficients land in proper subfields of the quartics often
+MINPOLY_FIELDS = [(1, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (-2, 0, 0, 0, 1),
+                  (1, 0, 0, 0, 1), (1, 1, 0, 0, 1)]
+SPARSE = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-5, 5),
+                             st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MINPOLY_FIELDS), st.data())
+def test_minimal_polynomial_matches_annihilation_and_rank(minpoly, data):
+    # monic, kills x, and 1, x, ..., x^(deg - 1) are independent (rank by
+    # minors), so no polynomial of lower degree kills x
+    k = make_field(minpoly)
+    x = k.element([data.draw(SPARSE) for _ in range(k.degree)])
+    mp = minimal_polynomial(x)
+    deg = len(mp) - 1
+    assert mp[-1] == 1 and k.degree % deg == 0
+    assert all(type(c) is Fraction for c in mp)
+    powers = [k.one()]
+    for _ in range(deg):
+        powers.append(powers[-1] * x)
+    assert sum((c * p for c, p in zip(mp, powers)), k.zero()) == 0
+    assert rank_by_minors([list(p.coeffs) for p in powers[:deg]]) == deg
 
 
 def test_is_algebraic_integer():
