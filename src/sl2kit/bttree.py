@@ -34,8 +34,7 @@ from fractions import Fraction
 from .errors import SingularError
 from .matrices import Immutable, Matrix, mat
 from .numberfield import FieldElement, NumberField
-from .valuations import (INF, ExtendedValuation, PAdicValuation, _frac_val,
-                         _int_val, extend)
+from .valuations import ExtendedValuation, PAdicValuation, _int_val, extend
 
 
 class TreeContext(Immutable):
@@ -148,36 +147,23 @@ def matrix_form(v: TreeVertex) -> Matrix:
     return mat([[ctx.coerce(pn), v.b], [ctx.zero(), ctx.coerce(1)]])
 
 
-def _reduce_fraction(b: Fraction, n: int, p: int) -> Fraction:
-    """Canonical representative of b modulo p^n * Z_(p)."""
-    if b == 0:
-        return Fraction(0)
-    v = _frac_val(b, p)
-    if v >= n:
-        return Fraction(0)
-    unit = b / Fraction(p) ** v  # numerator and denominator both prime to p
-    mod = p ** (n - v)
-    m = unit.numerator * pow(unit.denominator, -1, mod) % mod
-    return m * Fraction(p) ** v
-
-
 def _reduce_offset(b, n: int, ctx: TreeContext):
-    if ctx.field is None:
-        return _reduce_fraction(b, n, ctx.p)
-    return _reduce_element(b, n, ctx.p)
-
-
-def _reduce_element(b: FieldElement, n: int, p: int) -> FieldElement:
-    """_reduce_fraction on each coefficient c / D of b, on the ints: with
-    D = p^e u (u prime to p) and c = p^a c' (c' prime to p), c / D is
-    p^(a - e) c' / u; its representative is 0 when a - e >= n, else
-    m p^(a - e) with m = c' u^-1 mod p^(n - a + e), prime to p.  Over the
-    common denominator p^E, E = max(0, e - a), the numerators have gcd 1
-    with it (the coefficient of least valuation is a unit times p^-E)."""
-    e = _int_val(b._den, p)
-    u = b._den // p ** e
+    """Canonical representative of b modulo p^n O, one coefficient at a time
+    on the ints of b: its numerator over Q, its power-basis numerators over
+    Q(gamma), with the common denominator D.  With D = p^e u (u prime to p)
+    and c = p^a c' (c' prime to p), c / D is p^(a - e) c' / u; its
+    representative is 0 when a - e >= n, else m p^(a - e) with
+    m = c' u^-1 mod p^(n - a + e), prime to p.  Over the common denominator
+    p^E, E = max(0, e - a), the numerators have gcd 1 with it (the
+    coefficient of least valuation is a unit times p^-E).  The result is a
+    Fraction over Q and a FieldElement over Q(gamma)."""
+    p, field = ctx.p, ctx.field
+    nums, den = ((b.numerator,), b.denominator) if field is None else \
+        (b._nums, b._den)
+    e = _int_val(den, p)
+    u = den // p ** e
     reduced = []
-    for c in b._nums:
+    for c in nums:
         if c:
             a = _int_val(c, p)
             v = a - e
@@ -187,8 +173,10 @@ def _reduce_element(b: FieldElement, n: int, p: int) -> FieldElement:
                 continue
         reduced.append((0, 0))
     E = max(0, -min(v for _, v in reduced))
-    return FieldElement(b.field, tuple([m * p ** (v + E) for m, v in reduced]),
-                        p ** E)
+    nums = tuple([m * p ** (v + E) for m, v in reduced])
+    if field is None:
+        return Fraction(nums[0], p ** E)
+    return FieldElement(field, nums, p ** E)
 
 
 def canonicalize(m: Matrix, ctx: TreeContext) -> TreeVertex:

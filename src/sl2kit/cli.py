@@ -445,12 +445,13 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         _emit("error", {"code": "Usage", "message": str(exc)}, [])
         return 1
-    except CheckFailedError as exc:
-        _emit("error", _error_result(exc), [])
-        return 3
     except Sl2KitError as exc:
-        _emit("error", _error_result(exc), [])
-        return 2
+        try:
+            result = _error_result(exc)
+        except UnsupportedError as too_long:  # a witness too long to write
+            exc, result = too_long, _error_result(too_long)
+        _emit("error", result, [])
+        return 3 if isinstance(exc, CheckFailedError) else 2
     _emit("ok", result, diagnostics)
     return 0
 

@@ -7,6 +7,16 @@ codes are part of the public interface and must not be renamed casually.
 
 from __future__ import annotations
 
+import sys
+
+
+def _written(x, form=str) -> str:
+    """form(x), or a stand-in if x holds an int too long to write."""
+    try:
+        return form(x)
+    except ValueError:
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+
 
 class Sl2KitError(Exception):
     """Base class for every domain error raised by this package.

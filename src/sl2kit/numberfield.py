@@ -71,22 +71,19 @@ def _reducible_witness(coeffs):
         a0, a1, a2, a3 = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
         for d in _divisors(a0):
             for q in (d, -d):
-                s, rem = divmod(a0, q)
-                if rem != 0:
-                    continue
+                s = a0 // q  # q divides a0
                 # x^4+a3x^3+a2x^2+a1x+a0 = (x^2+px+q)(x^2+rx+s)
-                # requires p+r = a3 and p*r = a2-q-s
+                # requires p+r = a3 and p*r = a2-q-s: p, r = (a3 +- t) / 2
+                # with t^2 = a3^2 - 4(a2-q-s), so only p*s+q*r = a1 is left
                 disc = a3 * a3 - 4 * (a2 - q - s)
                 if disc < 0:
                     continue
                 t = isqrt(disc)
-                if t * t != disc:
+                if t * t != disc or (a3 + t) % 2:
                     continue
                 for p in ((a3 + t) // 2, (a3 - t) // 2):
-                    if (a3 + t) % 2 != 0 and (a3 - t) % 2 != 0:
-                        break
                     r = a3 - p
-                    if p * r == a2 - q - s and p * s + q * r == a1:
+                    if p * s + q * r == a1:
                         return (q, p, 1)
     return None
 

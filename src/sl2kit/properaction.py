@@ -25,13 +25,14 @@ decides hyp < C as N < 2 cosh(C) D^2 exactly (float cut points, then
 decimal arithmetic at rising precision; 2 cosh C is transcendental for
 rational C > 0, so there are no ties).  Over a field it is decided in
 floats, as hyperbolic.displacement_hyp decides it on the Matrix, from
-complex images read off the tuple: Horner at the root over n_(e,r) / D,
-which are the correctly rounded floats of the Fraction coefficients.
-Determinant 1 is proved exactly, so there is no float re-check to fail on
-large entries, and a value beyond float range raises UnsupportedError.  A
-Matrix is built only for an element that is returned; a 4-bit mask beside
-each tuple (bit 2i + j for entry (i, j)) records which entries are
-FieldElements, so it gets the entry types a Matrix product would.
+complex images read off the tuple: Horner at the root over n_(e,r) / D for
+every entry (a rational one has zero higher numerators), which are the
+correctly rounded floats of the Fraction coefficients.  Determinant 1 is
+proved exactly, so there is no float re-check to fail on large entries, and
+a value beyond float range raises UnsupportedError.  A Matrix is built only
+for an element that is returned; a 4-bit mask beside each tuple (bit 2i + j
+for entry (i, j)) records which entries are FieldElements, so it gets the
+entry types a Matrix product would; the mask decides no value.
 
 enumerate_bounded lists, exactly and completely, the elements of the full
 arithmetic group SL(2, Z[1/s]) whose profile is < C in every coordinate
@@ -63,7 +64,7 @@ from itertools import product
 
 from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
-                     UnsupportedError)
+                     UnsupportedError, _written)
 from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_of_images,
                          _hyp_value)
 from .matrices import Immutable, Matrix
@@ -143,7 +144,8 @@ def make_group(generators, field: NumberField | None = None,
         if not isinstance(g, Matrix) or g.n != 2:
             raise ValueError("generators must be 2x2 matrices")
         if g.det() != 1:
-            raise DetNotOneError(f"generator {g!r} has determinant {g.det()}")
+            raise DetNotOneError(f"generator {_written(g, repr)} has "
+                                 f"determinant {_written(g.det())}")
     return MarkedGroup(gens, ring_detect(gens, field), root_index)
 
 
@@ -198,9 +200,9 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
     field = group.ring.field
     if field is not None:
         group.tree_contexts  # the valuation gate refuses a non-inert prime
-        k, mask = _kernel(g, field.degree)
+        k, _ = _kernel(g, field.degree)
         return DisplacementProfile(trees, _hyp_of_images(
-            _kernel_images, k, mask, group.embedding))
+            _kernel_images, k, group.embedding))
     (a, b, c, d, D), _ = _kernel(g, 1)
     N, D2 = a * a + b * b + c * c + d * d, D * D
     return DisplacementProfile(trees, _hyp_value(N, D2), (N, D2))
@@ -412,19 +414,18 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
                 a, b, c, d, D = k
                 if bound.below(a * a + b * b + c * c + d * d, D * D):
                     found.add(_matrix(k))
-            elif _hyp_of_images(_kernel_images, k, mask, emb) < C:
+            elif _hyp_of_images(_kernel_images, k, emb) < C:
                 found.add(_matrix(k, mask, field))
     return found
 
 
-def _kernel_images(k, mask: int, emb: ArchimedeanEmbedding):
-    """The four complex entries of a kernel tuple under emb, as those of
-    _matrix(k, mask) embed: n / D for a rational entry (complex of a
-    Fraction is its correctly rounded float), emb.image of the numerators
-    for a FieldElement one."""
+def _kernel_images(k, emb: ArchimedeanEmbedding):
+    """The four complex entries of a kernel tuple under emb: emb.image of
+    each entry's numerators over D.  A rational entry has zero higher
+    numerators, so Horner gives n / D with a zero imaginary part, the image
+    of the Fraction bit for bit."""
     D = k[-1]
-    return [emb.image(k[e:-1:4], D) if mask >> e & 1 else complex(k[e] / D)
-            for e in range(4)]
+    return [emb.image(k[e:-1:4], D) for e in range(4)]
 
 
 # ---------------------------------------------------------------------------

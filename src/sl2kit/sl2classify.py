@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import (CommutativeError, DegenerateInputError, DetNotOneError,
                      GIsInHError, IndependenceFailureError,
-                     NotASubalgebraError)
+                     NotASubalgebraError, _written)
 from .matrices import Immutable, Matrix, linear_solve, mat
 
 
@@ -75,7 +75,7 @@ def make_subalgebra(y1: Matrix, y2: Matrix) -> Subalgebra2:
     c = _dependence_scalar(y1, y2)
     if c is not None:
         raise IndependenceFailureError(
-            f"basis pair is dependent: y2 = {c} * y1", witness=c)
+            f"basis pair is dependent: y2 = {_written(c)} * y1", witness=c)
     return s
 
 

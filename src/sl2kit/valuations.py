@@ -4,7 +4,9 @@ The p-adic valuation sends p^n * a/b (a, b prime to p) to n, and 0 to +infinity
 (represented by math.inf, which orders and adds correctly against ints).
 
 The extension to Q(gamma) takes the minimum of the p-adic valuations of the
-power-basis coefficients.  That rule is a genuine valuation exactly when the
+power-basis coefficients.  Both run one rule on ints, _val, with an element
+read as its numerators over their common denominator and a rational as one
+numerator.  The minimum rule is a genuine valuation exactly when the
 defining polynomial f stays irreducible modulo p (the extension is then
 unramified with residue field of size p^degree); extend() certifies this gate
 and refuses otherwise.  A refusal carries a multiplicativity counterexample
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotAValuationError, UnsupportedError
+from .errors import NotAValuationError, UnsupportedError, _written
 from .matrices import Immutable
 from .numberfield import FieldElement, NumberField, _horner
 
@@ -94,10 +96,11 @@ def _prime_factors(n: int):
         elif c >= _MR_BOUND:
             root = math.isqrt(c)
             if root * root != c:
+                size = _written(c, lambda c: f"a {len(str(c))}-digit number")
                 raise UnsupportedError(
-                    f"cannot factor a {len(str(c))}-digit number with no "
-                    f"prime factor below {_TRIAL_BOUND}: primality is "
-                    f"certified only below {_MR_BOUND}")
+                    f"cannot factor {size} with no prime factor below "
+                    f"{_TRIAL_BOUND}: primality is certified only below "
+                    f"{_MR_BOUND}")
             parts.append(root)
         else:
             f = _rho(c)
@@ -149,10 +152,15 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
-def _frac_val(x: Fraction, p: int) -> int:
-    """v_p of a nonzero Fraction; a reduced fraction has p in at most one of
-    its numerator and denominator, so a positive count ends the search."""
-    return _int_val(x.numerator, p) or -_int_val(x.denominator, p)
+def _val(nums, den: int, p: int):
+    """v_p of sum_r nums[r] gamma^r / den (ints, den > 0) by the
+    coefficientwise minimum: the least v_p of the nonzero numerators minus
+    v_p(den), or INF when every numerator is 0.  A rational is the one
+    numerator (x.numerator,) over x.denominator."""
+    vs = [_int_val(n, p) for n in nums if n]
+    if not vs:
+        return INF
+    return min(vs) - _int_val(den, p)
 
 
 class PAdicValuation(Immutable):
@@ -177,13 +185,9 @@ class PAdicValuation(Immutable):
         return self.p
 
     def __call__(self, x):
-        if isinstance(x, int) and not isinstance(x, bool):
-            x = Fraction(x)
-        if not isinstance(x, Fraction):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"expected a rational number, got {type(x).__name__}")
-        if x == 0:
-            return INF
-        return _frac_val(x, self.p)
+        return _val((x.numerator,), x.denominator, self.p)
 
     def __repr__(self):
         return f"PAdicValuation(p={self.p})"
@@ -278,11 +282,7 @@ class ExtendedValuation(Immutable):
             return self.base(x)
         if not isinstance(x, FieldElement) or x.field != self.field:
             raise TypeError("expected an element of the declared field")
-        nums = [n for n in x._nums if n]
-        if not nums:
-            return INF
-        p = self.base.p
-        return min(_int_val(n, p) for n in nums) - _int_val(x._den, p)
+        return _val(x._nums, x._den, self.base.p)
 
     def __repr__(self):
         return f"ExtendedValuation(p={self.p}, field={self.field!r})"

@@ -83,6 +83,55 @@ def test_field_offsets_reduce_coefficientwise(p, minpoly):
             for c in cs)
 
 
+def _vp(x: Fraction, p: int) -> int:
+    """v_p of a nonzero Fraction, by repeated division."""
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+def _check_reduced(b: Fraction, r: Fraction, n: int, p: int):
+    # same class: r = b, or b - r in p^n Z_(p)
+    assert r == b or _vp(b - r, p) >= n
+    # canonical: 0, or m p^v with m an integer, 0 < m < p^(n - v), p prime to m
+    if r != 0:
+        v = _vp(r, p)
+        m = r / Fraction(p) ** v
+        assert m.denominator == 1 and 0 < m < p ** (n - v) and m % p != 0
+
+
+@pytest.mark.parametrize("p, minpoly", [
+    (2, None), (3, None), (5, None), (3, [1, 0, 1]), (7, [1, 0, 1]),
+    (2, [1, 1, 1]), (5, [1, 1, 1]), (7, [-2, 0, 0, 1]), (13, [-2, 0, 0, 1])])
+def test_offsets_reduce_to_their_definition(p, minpoly):
+    # the offset b' of [[p^n, b], [0, 1]] lies in b + p^n O and has the
+    # canonical form, coefficient by coefficient over Q(gamma), for every
+    # n in -3..4 and denominators with and without p
+    rng = random.Random(10 * p + len(minpoly or ()))
+    k = None if minpoly is None else make_field(minpoly)
+    ctx, m = tree_context(p, k), 1 if k is None else k.degree
+    dens = [1, 2, 3, 5, 7, 11, 13, 49] + [p ** e * rng.choice([1, 2, 3, 7])
+                                           for e in (1, 2, 3)]
+    for n in range(-3, 5):
+        for _ in range(40):
+            cs = [Fraction(rng.randint(-999, 999), rng.choice(dens))
+                  * rng.choice([0, 1, 1, 1]) for _ in range(m)]
+            pn = Fraction(p) ** n
+            if k is None:
+                g = mat([[pn, cs[0]], [0, 1]])
+            else:
+                g = mat([[k.from_rational(pn), k.element(cs)],
+                         [k.zero(), k.one()]])
+            v = canonicalize(g, ctx)
+            assert v.n == n
+            out = (v.b,) if k is None else v.b.coeffs
+            for b, r in zip(cs, out):
+                _check_reduced(b, r, n, p)
+
+
 def test_distance_frozen():
     c = tree_context(2)
     v0 = base_vertex(c)

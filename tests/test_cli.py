@@ -607,6 +607,49 @@ def test_check_integral_result_beyond_the_digit_limit_is_unsupported(capsys):
                    "of more than 4300 digits, too long to write"}
 
 
+TOO_LONG = {"code": "Unsupported",
+            "message": "a rational in the result has a numerator or "
+                       "denominator of more than 4300 digits, too long to "
+                       "write"}
+
+
+@pytest.mark.parametrize("basis", [
+    # the bracket, NotASubalgebra's witness, has an entry of 8,001 digits
+    '[[["0","1e4000"],["0","0"]],[["0","0"],["1e4000","0"]]]',
+    # y2 = 10^8000 * y1: the IndependenceFailure message writes a stand-in
+    # for c, and its witness c cannot be written
+    '[[["1e-4000","0"],["0","-1e-4000"]],[["1e4000","0"],["0","-1e4000"]]]'])
+def test_error_witness_beyond_the_digit_limit_is_unsupported(capsys, basis):
+    rc, out = run(["classify", "--basis", basis], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert json.loads(out)["result"] == TOO_LONG
+
+
+def test_det_not_one_beyond_the_digit_limit_keeps_its_code(capsys):
+    rc, out = run(["displacement", "--g", '[["1","0"],["0","1"]]', "--group",
+                   '{"generators": [[["1e4000","0"],["0","1e4000"]]]}'],
+                  capsys)
+    assert rc == 2 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["code"] == "DetNotOne"
+    assert result["message"].startswith("generator Matrix[1000")
+    assert result["message"].endswith(
+        "has determinant <a number of more than 4300 digits>")
+
+
+def test_unfactorable_denominator_beyond_the_digit_limit(capsys):
+    # the lcm of the denominators, 1009^1401 * 1013^1401, has 8,420 digits
+    # and is no square, so the refusal cannot write its digit count
+    a, b = 1009 ** 1401, 1013 ** 1401
+    rc, out = run(["displacement", "--g",
+                   f'[["1/{a}","1/{b}"],["0","{a}"]]'], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["code"] == "Unsupported"
+    assert result["message"].startswith(
+        "cannot factor <a number of more than 4300 digits> with no prime")
+
+
 def test_classify_mixed_type_golden(capsys):
     # a FieldElement zero among Fraction entries leaves the conjugator
     # rational: the elimination only scales a row whose multiplier is 0

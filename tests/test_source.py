@@ -1,5 +1,6 @@
 """Checks on the text of the package source."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,4 +38,38 @@ def test_no_private_fractions_api():
             for path in files
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if PRIVATE_FRACTIONS.search(line)]
+    assert hits == []
+
+
+def _unused_imports(text: str):
+    """Names bound by a module-level import that the module never reads;
+    from __future__ imports are exempt."""
+    tree = ast.parse(text)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_the_import_check_catches_an_unused_name():
+    text = ("from __future__ import annotations\n"
+            "import math, os.path\n"
+            "from fractions import Fraction as F, gcd\n"
+            "x = math.inf + F(1) + os.sep\n")
+    assert _unused_imports(text) == [(3, "gcd")]
+
+
+def test_no_unused_module_imports():
+    # __init__.py imports to re-export, so it is exempt
+    hits = [f"{path.name}:{line}: {name}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+            for line, name in _unused_imports(path.read_text())]
     assert hits == []
