@@ -182,29 +182,23 @@ def _reduce_offset(b, n: int, ctx: TreeContext):
 def canonicalize(m: Matrix, ctx: TreeContext) -> TreeVertex:
     """Canonical vertex of the lattice spanned by the columns of m.
 
-    Column operations over the valuation ring plus one homothety: swap the
-    bottom-row entries so the divider has minimal valuation, clear the other
-    one with a single exact division (the quotient is integral by the swap),
-    rescale by the remaining corner, and reduce the offset.
+    Column operations over the valuation ring plus one homothety: take as
+    the second column (b, d) the one whose bottom entry d has the least
+    valuation.  Clearing the other bottom entry with it (an integral
+    multiple) leaves the column (det / d, 0) up to sign, so after scaling by
+    1/d the vertex is (n, b / d) with n = v(det) - 2 v(d), offset reduced.
     """
     if m.n != 2:
         raise ValueError("expected a 2x2 matrix")
-    a = ctx.coerce(m.rows[0][0])
-    b = ctx.coerce(m.rows[0][1])
-    c = ctx.coerce(m.rows[1][0])
-    d = ctx.coerce(m.rows[1][1])
-    if a * d - b * c == 0:
+    a, b, c, d = map(ctx.coerce, (*m.rows[0], *m.rows[1]))
+    det = a * d - b * c
+    if det == 0:
         raise SingularError("columns do not span a lattice")
-    if ctx.val(d) > ctx.val(c):
-        a, b = b, a
-        c, d = d, c
-    if c != 0:
-        q = c / d  # val(c) >= val(d), so q is integral
-        a = a - q * b
-    # lattice is now spanned by (a, 0) and (b, d); scale by 1/d
-    n = ctx.val(a) - ctx.val(d)
-    off = _reduce_offset(b / d, n, ctx)
-    return TreeVertex(ctx, n, off)
+    vd, vc = ctx.val(d), ctx.val(c)
+    if vd > vc:
+        b, d, vd = a, c, vc
+    n = ctx.val(det) - 2 * vd
+    return TreeVertex(ctx, n, _reduce_offset(b / d, n, ctx))
 
 
 def _check_same_tree(u: TreeVertex, v: TreeVertex):

@@ -90,7 +90,7 @@ def _cmd_tree_dist(args):
     if args.g is not None:
         if args.u is not None or args.v is not None:
             raise ValueError("give either --g or the pair --u/--v")
-        g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
+        g = parse_matrix(_load_json(args.g, "--g"), args.field)
         v0 = base_vertex(ctx)
         return {"distance": distance(v0, act(g, v0))}, []
     if args.u is None or args.v is None:
@@ -133,7 +133,7 @@ def _cmd_tree_ball(args):
 
 def _cmd_tree_act(args):
     ctx = tree_context(args.p, args.field)
-    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field)
     v = base_vertex(ctx) if args.vertex is None else \
         parse_vertex(_load_json(args.vertex, "--vertex"), ctx)
     return {"vertex": encode_vertex(act(g, v))}, []
@@ -146,7 +146,7 @@ def _cmd_hyp_dist(args):
 
 
 def _cmd_displacement(args):
-    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field)
     if args.group is not None:
         group = parse_group(_load_json(args.group, "--group"))
     else:
@@ -232,7 +232,7 @@ def _cmd_embed(args):
 
 
 def _cmd_check_integral(args):
-    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field)
     mp = minimal_polynomial(g.trace())
     return {"integral": integral_characteristic(g),
             "trace_minpoly": [encode_rational(c) for c in mp]}, []
@@ -250,8 +250,8 @@ def _cmd_classify(args):
         doc = doc["basis"]
     if not isinstance(doc, list) or len(doc) != 2:
         raise ValueError("--basis needs exactly two matrices")
-    y1 = parse_matrix(doc[0], field, size=2)
-    y2 = parse_matrix(doc[1], field, size=2)
+    y1 = parse_matrix(doc[0], field)
+    y2 = parse_matrix(doc[1], field)
     outcome = classify_2dim(make_subalgebra(y1, y2))
     q = outcome.conjugator
     q_inv = q.inverse()
@@ -263,15 +263,15 @@ def _cmd_classify(args):
 
 
 def _cmd_normalizer(args):
-    g = parse_matrix(_load_json(args.g, "--g"), args.field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), args.field)
     test = normalizes_torus if args.which == "torus" else normalizes_unipotent
     return {"which": args.which, "normalizes": test(g)}, []
 
 
 def _cmd_factor_maximal(args):
     field = args.field
-    g = parse_matrix(_load_json(args.g, "--g"), field, size=2)
-    target = parse_matrix(_load_json(args.target, "--target"), field, size=2)
+    g = parse_matrix(_load_json(args.g, "--g"), field)
+    target = parse_matrix(_load_json(args.target, "--target"), field)
     word = maximality_factor(g, target)
     return {"factors": [{"tag": f.tag, "matrix": encode_matrix(f.matrix)}
                         for f in word],

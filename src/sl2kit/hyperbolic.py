@@ -19,8 +19,9 @@ Both refuse a value beyond float range with UnsupportedError.
 
 Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
-polish, deterministic descending (Re, Im) ordering, |minpoly(root)| < 1e-12
-enforced: a root that misses it is refused with UnsupportedError).
+polish, deterministic descending (Re, Im) ordering, the backward error
+|f(root)| <= 1e-12 sum_k |c_k| |root|^k for f = sum_k c_k x^k enforced: a
+root that misses it is refused with UnsupportedError).
 
 For a rational g = [[a, b], [c, d]] / D the same displacement is
 arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2, and _HypBound decides
@@ -81,7 +82,8 @@ class ArchimedeanEmbedding(Immutable):
         if not 0 <= root_index < len(refined):
             raise ValueError(f"root_index out of range 0..{len(refined) - 1}")
         root = refined[root_index]
-        if abs(_horner(field.minpoly, root)) >= _ROOT_TOL:
+        if not abs(_horner(field.minpoly, root)) <= _ROOT_TOL * _horner(
+                [abs(c) for c in field.minpoly], abs(root)):
             raise UnsupportedError("root refinement failed its tolerance")
         object.__setattr__(self, "roots", tuple(refined))
         object.__setattr__(self, "root", root)

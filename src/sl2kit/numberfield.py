@@ -8,8 +8,9 @@ them, so c_r = n_r / D and equal elements have equal ints; the coefficients
 as Fractions (``coeffs``) are built only when read.  Every operation is
 exact and runs on ints: a product is the field's table of integer structure
 constants (NumberField._terms) on the numerators over the product of the
-denominators, an inverse solves the m x m system of that table fraction-free
-(matrices._eliminate), and each result is divided by one gcd.
+denominators, compiled as the 1 x 1 case of _product, an inverse solves the
+m x m system of that table fraction-free (matrices._eliminate), and each
+result is divided by one gcd.
 Irreducibility for these degrees is decided by the rational-root test plus,
 for quartics, an exhaustive search for integer quadratic factors (Gauss's
 lemma makes that complete for monic integer polynomials).
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import NotMonicError, ReducibleError
@@ -132,7 +134,7 @@ class NumberField(Immutable):
     to coefficient r of x * y (Cohen, GTM 138, 4.2).
     """
 
-    __slots__ = ("minpoly", "_terms")
+    __slots__ = ("minpoly", "_terms", "_mul")
 
     def __init__(self, minpoly):
         object.__setattr__(self, "minpoly", tuple(int(c) for c in minpoly))
@@ -148,6 +150,7 @@ class NumberField(Immutable):
         object.__setattr__(self, "_terms", tuple(
             (r, s, t, w) for s in range(m) for t in range(m)
             for r, w in enumerate(powers[s + t]) if w))
+        object.__setattr__(self, "_mul", None)  # _product(self, 1), lazily
 
     @property
     def degree(self) -> int:
@@ -192,6 +195,47 @@ class NumberField(Immutable):
 
     def __repr__(self):
         return f"NumberField({_poly_str(self.minpoly)})"
+
+
+_PRODUCTS = {}
+
+
+def _product(field: NumberField | None, n: int):
+    """The normalised product of two n x n matrices over field (None for Q),
+    compiled once per (field, n) into straight-line int code.  Over degree
+    m (1 for Q) a matrix is n^2 m int numerators, then one denominator
+    D > 0, gcd 1 over all: index n^2 r + n i + j holds D times the gamma^r
+    coefficient of entry (i, j); n = 1 is a FieldElement's _nums, _den.
+    Each term (r, s, t, w) of _terms adds w x[n^2 s + n i + k] y[n^2 t +
+    n k + j] to numerator n^2 r + n i + j of x y for each k < n."""
+    mul = _PRODUCTS.get((field, n))
+    if mul is None:
+        nn = n * n
+        table = [[] for _ in range(nn * (field.degree if field else 1))]
+        for r, s, t, w in field._terms if field else ((0, 0, 0, 1),):
+            for i, j, k in product(range(n), repeat=3):
+                table[nn * r + n * i + j].append(
+                    (w, nn * s + n * i + k, nn * t + n * k + j))
+        idx = range(len(table))
+        out = ", ".join(f"o{i}" for i in idx)
+        src = [
+            "def mul(x, y):",
+            f"    {', '.join(f'x{i}' for i in idx)}, X = x",
+            f"    {', '.join(f'y{i}' for i in idx)}, Y = y",
+            *(f"    o{i} = " + " + ".join(
+                f"{'' if w == 1 else f'{w} * '}x{p} * y{q}"
+                for w, p, q in table[i]) for i in idx),
+            "    den = X * Y",
+            "    if den != 1:",
+            f"        k = gcd({out}, den)",
+            "        if k != 1:",
+            "            return "
+            f"{', '.join(f'o{i} // k' for i in idx)}, den // k",
+            f"    return {out}, den"]
+        namespace = {"gcd": gcd}
+        exec("\n".join(src), namespace)
+        mul = _PRODUCTS[field, n] = namespace["mul"]
+    return mul
 
 
 def _normal(field: NumberField, nums, den: int) -> "FieldElement":
@@ -303,13 +347,13 @@ class FieldElement(Immutable):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self._nums, o._nums
-        out = [0] * len(a)
-        for r, s, t, w in self.field._terms:
-            x, y = a[s], b[t]
-            if x and y:
-                out[r] += x * y if w == 1 else w * x * y
-        return _normal(self.field, out, self._den * o._den)
+        field = self.field
+        mul = field._mul
+        if mul is None:
+            mul = _product(field, 1)
+            object.__setattr__(field, "_mul", mul)
+        k = mul(self._nums + (self._den,), o._nums + (o._den,))
+        return FieldElement(field, k[:-1], k[-1])
 
     __rmul__ = __mul__
 

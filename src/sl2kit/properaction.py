@@ -13,9 +13,9 @@ with Q as m = 1.  An element is the tuple (a_0, b_0, c_0, d_0, a_1, ...,
 d_(m-1), D), the matrix sum_r [[a_r, b_r], [c_r, d_r]] gamma^r / D with
 D > 0 and gcd 1 over all its ints; over Q that is (a, b, c, d, D).  The
 minimal polynomial is monic and integral, so a product is an integer
-bilinear form (_mul_table, the field's _terms lifted to 2x2), compiled once
-per field into straight-line int code, and a gcd; word balls are
-deduplicated on the normalised tuple.
+bilinear form (numberfield._product, the field's _terms lifted to 2x2),
+compiled once per field into straight-line int code, and a gcd; word balls
+are deduplicated on the normalised tuple.
 Determinant 1 and ring membership are checked on the generators, as
 products of such elements stay such elements.  For determinant 1 the tree
 displacement at p is 2 v_p(D) (Serre, Trees, II.1), read off the ints with
@@ -60,7 +60,6 @@ import math
 import os
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
 
 from .bttree import tree_context
 from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
@@ -68,7 +67,7 @@ from .errors import (BudgetExceededError, DetNotOneError, EntryOutsideRingError,
 from .hyperbolic import (ArchimedeanEmbedding, _HypBound, _hyp_of_images,
                          _hyp_value)
 from .matrices import Immutable, Matrix
-from .numberfield import FieldElement, NumberField, _normal
+from .numberfield import FieldElement, NumberField, _normal, _product
 from .valuations import _int_val, _prime_factors
 
 DEFAULT_BUDGET = 10_000_000
@@ -213,8 +212,8 @@ def displacement(g: Matrix, group: MarkedGroup) -> DisplacementProfile:
 # ---------------------------------------------------------------------------
 
 def _kernel(g: Matrix, m: int):
-    """(tuple, mask) of g over a field of degree m (1 for Q);
-    D = _denominator(g) leaves the gcd 1."""
+    """(tuple, mask) of g over a field of degree m (1 for Q), in the layout
+    of numberfield._product at n = 2; D = _denominator(g) leaves the gcd 1."""
     D, nums, mask = _denominator(g), [], 0
     for e, x in enumerate(x for row in g.rows for x in row):
         if isinstance(x, FieldElement):
@@ -227,8 +226,8 @@ def _kernel(g: Matrix, m: int):
 
 
 def _matrix(k, mask: int = 0, field: NumberField | None = None) -> Matrix:
-    """The Matrix of a kernel tuple: Fractions, except the entries whose
-    mask bit is set, which are FieldElements of field."""
+    """The Matrix of a kernel tuple (layout: numberfield._product): Fractions,
+    except the entries whose mask bit is set, FieldElements of field."""
     D = k[-1]
     e = [Fraction(k[0], D), Fraction(k[1], D), Fraction(k[2], D),
          Fraction(k[3], D)]
@@ -247,48 +246,6 @@ def _tree_moves(D: int, primes):
     (the gcd is 1), so min w = -v_p(D); else g is integral at p and
     0 = w(det g) >= 2 min w, as w(xy) >= w(x) + w(y)."""
     return tuple(2 * _int_val(D, p) for p in primes)
-
-
-def _mul_table(field: NumberField | None):
-    """Numerator 4r + 2i + j of a product x y (the gamma^r coefficient of
-    entry (i, j)) is the sum of w * x[p] * y[q] over its (w, p, q): each
-    field term (r, s, t, w) lifted to the 2x2 product, summed over k."""
-    table = [[] for _ in range(4 * (field.degree if field else 1))]
-    for r, s, t, w in field._terms if field else ((0, 0, 0, 1),):
-        for i, j, k in product((0, 1), repeat=3):
-            table[4 * r + 2 * i + j].append(
-                (w, 4 * s + 2 * i + k, 4 * t + 2 * k + j))
-    return table
-
-
-_MULTIPLY = {}
-
-
-def _multiply(field: NumberField | None):
-    """The normalised product of two kernel tuples over field (None for Q):
-    _mul_table compiled once per field into straight-line int code."""
-    mul = _MULTIPLY.get(field)
-    if mul is None:
-        table = _mul_table(field)
-        n = range(len(table))
-        out = ", ".join(f"o{i}" for i in n)
-        src = [
-            "def mul(x, y):",
-            f"    {', '.join(f'x{i}' for i in n)}, X = x",
-            f"    {', '.join(f'y{i}' for i in n)}, Y = y",
-            *(f"    o{i} = " + " + ".join(
-                f"{'' if w == 1 else f'{w} * '}x{p} * y{q}"
-                for w, p, q in table[i]) for i in n),
-            "    den = X * Y",
-            "    if den != 1:",
-            f"        k = gcd({out}, den)",
-            "        if k != 1:",
-            f"            return {', '.join(f'o{i} // k' for i in n)}, den // k",
-            f"    return {out}, den"]
-        namespace = {"gcd": math.gcd}
-        exec("\n".join(src), namespace)
-        mul = _MULTIPLY[field] = namespace["mul"]
-    return mul
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +269,7 @@ def _ball(steps, field: NumberField | None, max_len: int):
     only those three, and layer k + 1 is every product of layer k, in
     order, less the keys of layers k - 1 and k."""
     m = field.degree if field else 1
-    mul = _multiply(field)
+    mul = _product(field, 2)
     ident = (1, 0, 0, 1) + (0,) * (4 * m - 4) + (1,)
     # entry (i, j) of x s is a FieldElement when row i of x or column j of
     # s holds one (a product or sum with one is one)
@@ -420,8 +377,8 @@ def word_bfs(group: MarkedGroup, max_len: int, C: float) -> set:
 
 
 def _kernel_images(k, emb: ArchimedeanEmbedding):
-    """The four complex entries of a kernel tuple under emb: emb.image of
-    each entry's numerators over D.  A rational entry has zero higher
+    """The four complex entries of a kernel tuple (numberfield._product's
+    layout) under emb: emb.image of each entry's numerators over D.  A rational entry has zero higher
     numerators, so Horner gives n / D with a zero imaginary part, the image
     of the Fraction bit for bit."""
     D = k[-1]

@@ -89,16 +89,15 @@ def encode_matrix(m: Matrix):
     return [[encode_scalar(x) for x in row] for row in m.rows]
 
 
-def parse_matrix(obj, field: NumberField | None = None,
-                 size: int | None = None) -> Matrix:
+def parse_matrix(obj, field: NumberField | None = None) -> Matrix:
     if not isinstance(obj, list) or not obj or \
             any(not isinstance(row, list) for row in obj):
         raise ValueError("a matrix is a nested array of rows")
     rows = [[parse_scalar(x, field) for x in row] for row in obj]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    if size is not None and len(rows) != size:
-        raise ValueError(f"expected a {size}x{size} matrix")
+    if len(rows) != 2:
+        raise ValueError("expected a 2x2 matrix")
     return mat(rows)
 
 
@@ -171,7 +170,7 @@ def parse_group(obj) -> MarkedGroup:
     gens_doc = obj["generators"]
     if not isinstance(gens_doc, list):
         raise ValueError("generators must be an array of matrices")
-    gens = [parse_matrix(g, field, size=2) for g in gens_doc]
+    gens = [parse_matrix(g, field) for g in gens_doc]
     root_index = obj.get("root_index", 0)
     if isinstance(root_index, bool) or not isinstance(root_index, int):
         raise ValueError("root_index must be an integer")

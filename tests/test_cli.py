@@ -18,7 +18,7 @@ from oracles import first_independent, matrix_word_ball
 from sl2kit import (PropernessReport, ball, base_vertex, make_field, mat,
                     tree_context)
 from sl2kit.cli import main
-from sl2kit.serialization import encode_matrix
+from sl2kit.serialization import encode_matrix, float12
 
 SL2Z = '{"generators": [[["0","-1"],["1","0"]],[["1","1"],["0","1"]]]}'
 
@@ -202,13 +202,27 @@ def test_displacement_golden(capsys):
     assert rc == 0 and out == expect
 
 
-def test_root_refinement_failure_is_unsupported(capsys):
+def test_root_refinement_failure_is_unsupported(capsys, monkeypatch):
+    import sl2kit.hyperbolic as hyperbolic
+    monkeypatch.setattr(hyperbolic, "_refine_root", lambda coeffs, z: z + 1)
     rc, out = run(["displacement", "--minpoly", "[8194, 0, 1]",
                    "--g", '[["1","1"],["0","1"]]'], capsys)
     assert rc == 2 and out.count("\n") == 1
     assert json.loads(out)["result"] == {
         "code": "Unsupported",
         "message": "root refinement failed its tolerance"}
+
+
+@pytest.mark.parametrize("g, cosh", [('[["1","1"],["0","1"]]', 1.5),
+                                     ('[[["1"],["0","1"]],[["0"],["1"]]]',
+                                      4098)])
+def test_displacement_over_x2_plus_8194_answers(capsys, g, cosh):
+    # |f(root)| is about 2e-12 at the root of absolute size 90.5; the
+    # residual is measured against the terms it sums, as a backward error
+    rc, out = run(["displacement", "--minpoly", "[8194, 0, 1]", "--g", g],
+                  capsys)
+    assert rc == 0
+    assert json.loads(out)["result"]["hyp"] == float12(math.acosh(cosh))
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,8 +235,8 @@ def test_displacement_over_x2_plus_c_prints_one_envelope(c):
         rc = main(["displacement", "--minpoly", f"[{c}, 0, 1]",
                    "--g", '[["1","1"],["0","1"]]'])
     out = buf.getvalue()
-    assert rc in (0, 2) and out.count("\n") == 1
-    assert json.loads(out)["status"] == ("ok" if rc == 0 else "error")
+    assert rc == 0 and out.count("\n") == 1
+    assert json.loads(out)["result"]["hyp"] == float12(math.acosh(1.5))
 
 
 def test_enumerate_golden(capsys):
@@ -766,6 +780,67 @@ def test_usage_errors_from_every_layer(capsys, argv, message):
     rc, out = run(argv, capsys)
     assert rc == 1
     assert json.loads(out)["result"] == {"code": "Usage", "message": message}
+
+
+G = '[["1","1"],["0","1"]]'
+POINT = '{"z": [0, 0], "t": 1}'
+GROUP_DOC = ('a group document is {"minpoly"?: [...], "generators": '
+             '[matrix, ...], "root_index"?: int}')
+BASIS_DOC = ('--basis document is {"minpoly"?: [...], '
+             '"basis": [matrix, matrix]}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["valuate", "--p", "3", "--x", "true"],
+     "rationals must be strings or integers"),
+    (["valuate", "--p", "3", "--x", "1.5"], "malformed rational 1.5"),
+    (["valuate", "--p", "3", "--x", "null"], "malformed rational None"),
+    (["valuate", "--p", "3", "--x", '["1","2"]'],
+     "field-element arrays need a declared minpoly"),
+    (["valuate", "--p", "3", "--minpoly", '{"poly": [1,0,1]}', "--x", "1"],
+     'a field document is {"minpoly": [...]}'),
+    (["tree-act", "--p", "2", "--g", '"x"'],
+     "a matrix is a nested array of rows"),
+    (["tree-act", "--p", "2", "--g", '[["1","1"],["0"]]'],
+     "matrix must be square"),
+    (["tree-act", "--p", "2",
+      "--g", '[["1","0","0"],["0","1","0"],["0","0","1"]]'],
+     "expected a 2x2 matrix"),
+    (["tree-act", "--p", "2", "--g", G, "--vertex", '{"n": 1}'],
+     'a vertex document is {"n": int, "b": element}'),
+    (["tree-act", "--p", "2", "--g", G, "--vertex", '{"n": "1", "b": "0"}'],
+     "vertex exponent n must be an integer"),
+    (["tree-dist", "--p", "2", "--u", '{"n": 0, "b": "0"}'],
+     "need --g, or both --u and --v"),
+    (["hyp-dist", "--x", '{"z": [0, 0]}', "--y", POINT],
+     'a point document is {"z": [re, im], "t": t}'),
+    (["hyp-dist", "--x", '{"z": [0], "t": 1}', "--y", POINT],
+     "point z must be [re, im]"),
+    (["hyp-dist", "--x", '{"z": [0, 0], "t": "1"}', "--y", POINT],
+     "point t must be a number"),
+    (["displacement", "--g", G, "--group", "[]"], GROUP_DOC),
+    (["displacement", "--g", G, "--group", '{"generators": {}}'],
+     "generators must be an array of matrices"),
+    (["displacement", "--g", G, "--group",
+      '{"generators": [], "root_index": "0"}'],
+     "root_index must be an integer"),
+    (["classify", "--basis", f'{{"basis": [{G}, {G}], "field": 1}}'],
+     BASIS_DOC),
+    (["classify", "--basis", f"[{G}]"], "--basis needs exactly two matrices"),
+    ([], "a command is required (see --help)"),
+])
+def test_usage_errors_print_sl2kits_message(capsys, argv, message):
+    rc, out = run(argv, capsys)
+    assert rc == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"status": "error", "diagnostics": [],
+                               "result": {"code": "Usage",
+                                          "message": message}}
+
+
+def test_minpoly_accepts_a_field_document(capsys):
+    rc, out = run(["valuate", "--p", "3", "--minpoly", '{"minpoly": [1,0,1]}',
+                   "--x", '["9","9"]'], capsys)
+    assert rc == 0 and json.loads(out)["result"] == {"value": 2}
 
 
 @pytest.mark.parametrize("x", ["1e4301", "-2.5E-4301", "1e999999999",

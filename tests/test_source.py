@@ -73,3 +73,56 @@ def test_no_unused_module_imports():
             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
             for line, name in _unused_imports(path.read_text())]
     assert hits == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """(line, name) of each function, class and constant a module defines
+    at its top level, and of each method of its classes."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, item.name) for item in node.body
+                        if isinstance(item, _DEFS[:2]))
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        yield from ((node.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name))
+
+
+def _unread_private_definitions(texts):
+    """(module, line, name) for each private definition (a leading
+    underscore, dunder names exempt) that none of the modules reads as a
+    name or an attribute."""
+    defined, read = [], set()
+    for module, text in texts.items():
+        tree = ast.parse(text)
+        defined += [(module, line, name) for line, name in _definitions(tree)
+                    if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_the_private_definition_check_catches_an_unread_name():
+    texts = {"a.py": ("_LIMIT = 3\n_TABLE = {}\n__all__ = []\n"
+                      "def _used():\n    return _LIMIT\n"
+                      "def _table():\n    return 0\n"
+                      "class _Kept:\n"
+                      "    def __init__(self):\n        self._x = _used()\n"
+                      "    def _read(self):\n        return 1\n"
+                      "    def _left(self):\n        return 2\n"),
+             "b.py": "from a import _Kept\n_Kept()._read()\n"}
+    assert _unread_private_definitions(texts) == [
+        ("a.py", 2, "_TABLE"), ("a.py", 6, "_table"), ("a.py", 13, "_left")]
+
+
+def test_no_unread_private_definitions():
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_definitions(texts) == []
