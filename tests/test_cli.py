@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sl2kit
 import sl2kit.cli as cli
+import sl2kit.hyperbolic as hyperbolic
 from oracles import first_independent, matrix_word_ball
 from sl2kit import (PropernessReport, ball, base_vertex, make_field, mat,
                     tree_context)
@@ -203,7 +204,6 @@ def test_displacement_golden(capsys):
 
 
 def test_root_refinement_failure_is_unsupported(capsys, monkeypatch):
-    import sl2kit.hyperbolic as hyperbolic
     monkeypatch.setattr(hyperbolic, "_refine_root", lambda coeffs, z: z + 1)
     rc, out = run(["displacement", "--minpoly", "[8194, 0, 1]",
                    "--g", '[["1","1"],["0","1"]]'], capsys)
