@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import SingularError
 from .matrices import Immutable, Matrix, mat
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, _normal
 from .valuations import ExtendedValuation, PAdicValuation, _int_val, extend
 
 
@@ -148,35 +148,24 @@ def matrix_form(v: TreeVertex) -> Matrix:
 
 
 def _reduce_offset(b, n: int, ctx: TreeContext):
-    """Canonical representative of b modulo p^n O, one coefficient at a time
-    on the ints of b: its numerator over Q, its power-basis numerators over
-    Q(gamma), with the common denominator D.  With D = p^e u (u prime to p)
-    and c = p^a c' (c' prime to p), c / D is p^(a - e) c' / u; its
-    representative is 0 when a - e >= n, else m p^(a - e) with
-    m = c' u^-1 mod p^(n - a + e), prime to p.  Over the common denominator
-    p^E, E = max(0, e - a), the numerators have gcd 1 with it (the
-    coefficient of least valuation is a unit times p^-E).  The result is a
-    Fraction over Q and a FieldElement over Q(gamma)."""
+    """Canonical representative of b modulo p^n O, on the ints of b: its
+    numerator over Q, its power-basis numerators over Q(gamma), with the
+    common denominator D = p^e u (u prime to p).  A numerator c gives
+    c / D = (c u^-1) / p^e, congruent modulo p^n O to r / p^e with
+    r = c u^-1 mod p^(n + e), so one inverse of u serves every
+    coefficient and each reduced coefficient lies in [0, p^n).  When
+    n + e <= 0 the offset lies in p^-e O, inside p^n O, and reduces to 0.
+    The result is a Fraction over Q and a FieldElement over Q(gamma)."""
     p, field = ctx.p, ctx.field
-    nums, den = ((b.numerator,), b.denominator) if field is None else \
-        (b._nums, b._den)
+    den = b.denominator if field is None else b._den
     e = _int_val(den, p)
-    u = den // p ** e
-    reduced = []
-    for c in nums:
-        if c:
-            a = _int_val(c, p)
-            v = a - e
-            if v < n:
-                mod = p ** (n - v)
-                reduced.append(((c // p ** a) * pow(u, -1, mod) % mod, v))
-                continue
-        reduced.append((0, 0))
-    E = max(0, -min(v for _, v in reduced))
-    nums = tuple([m * p ** (v + E) for m, v in reduced])
+    if n + e <= 0:
+        return ctx.zero()
+    pe, mod = p ** e, p ** (n + e)
+    inv = pow(den // pe, -1, mod)
     if field is None:
-        return Fraction(nums[0], p ** E)
-    return FieldElement(field, nums, p ** E)
+        return Fraction(b.numerator * inv % mod, pe)
+    return _normal(field, [c * inv % mod for c in b._nums], pe)
 
 
 def canonicalize(m: Matrix, ctx: TreeContext) -> TreeVertex:

@@ -21,7 +21,8 @@ Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
 polish, deterministic descending (Re, Im) ordering, the backward error
 |f(root)| <= 1e-12 sum_k |c_k| |root|^k for f = sum_k c_k x^k enforced: a
-root that misses it is refused with UnsupportedError).
+root that misses it, or a coefficient of f or f' beyond float range, is
+refused with UnsupportedError).
 
 For a rational g = [[a, b], [c, d]] / D the same displacement is
 arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2, and _HypBound decides
@@ -74,16 +75,24 @@ class ArchimedeanEmbedding(Immutable):
             object.__setattr__(self, "roots", ())
             object.__setattr__(self, "root", None)
             return
-        raw = np.roots(list(reversed(field.minpoly)))
-        refined = [_refine_root(field.minpoly, complex(r)) for r in raw]
-        # irreducible over Q implies squarefree, so roots are simple and the
-        # descending (Re, Im) order is unambiguous
-        refined.sort(key=lambda z: (z.real, z.imag), reverse=True)
-        if not 0 <= root_index < len(refined):
-            raise ValueError(f"root_index out of range 0..{len(refined) - 1}")
-        root = refined[root_index]
-        if not abs(_horner(field.minpoly, root)) <= _ROOT_TOL * _horner(
-                [abs(c) for c in field.minpoly], abs(root)):
+        coeffs = field.minpoly
+        try:  # each step meets the int coefficients with floats
+            raw = np.roots(list(reversed(coeffs)))
+            refined = [_refine_root(coeffs, complex(r)) for r in raw]
+            # irreducible over Q implies squarefree, so roots are simple and
+            # the descending (Re, Im) order is unambiguous
+            refined.sort(key=lambda z: (z.real, z.imag), reverse=True)
+            if not 0 <= root_index < len(refined):
+                raise ValueError(
+                    f"root_index out of range 0..{len(refined) - 1}")
+            root = refined[root_index]
+            accurate = abs(_horner(coeffs, root)) <= _ROOT_TOL * _horner(
+                [abs(c) for c in coeffs], abs(root))
+        except OverflowError:
+            raise UnsupportedError(
+                "the defining polynomial or its derivative has a coefficient "
+                "beyond float range; its roots need floats") from None
+        if not accurate:
             raise UnsupportedError("root refinement failed its tolerance")
         object.__setattr__(self, "roots", tuple(refined))
         object.__setattr__(self, "root", root)

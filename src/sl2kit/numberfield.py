@@ -4,8 +4,9 @@ A field is declared by a monic integer polynomial of degree 1..4 that is
 irreducible over Q; ``gamma`` denotes a root.  An element c_0 + c_1*gamma
 + ... in the power basis is stored as the int numerators (n_0, ..., n_{m-1})
 of its coefficients over one denominator D > 0, with gcd 1 over all of
-them, so c_r = n_r / D and equal elements have equal ints; the coefficients
-as Fractions (``coeffs``) are built only when read.  Every operation is
+them, so c_r = n_r / D and equal elements have equal ints; an element
+stores only these ints, and the coefficients as Fractions (``coeffs``) are
+built on each read.  Every operation is
 exact and runs on ints: a product is the field's table of integer structure
 constants (NumberField._terms) on the numerators over the product of the
 denominators, compiled as the 1 x 1 case of _product, an inverse solves the
@@ -264,23 +265,18 @@ class FieldElement(Immutable):
     (_nums, _den).  The constructor trusts that form; build elements with
     NumberField.element() or from_rational()."""
 
-    __slots__ = ("field", "_nums", "_den", "_coeffs")
+    __slots__ = ("field", "_nums", "_den")
 
     def __init__(self, field: NumberField, nums, den: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     @property
     def coeffs(self) -> tuple:
-        """The power-basis coefficients as Fractions, built on first read."""
-        cs = self._coeffs
-        if cs is None:
-            den = self._den
-            cs = tuple([Fraction(n, den) for n in self._nums])
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        """The power-basis coefficients as Fractions, built on each read."""
+        den = self._den
+        return tuple([Fraction(n, den) for n in self._nums])
 
     # -- coercion ---------------------------------------------------------
 

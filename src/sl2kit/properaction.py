@@ -181,7 +181,7 @@ def _check(g: Matrix, ring: Ring) -> int:
         for x in row:
             if isinstance(x, FieldElement) and x.field != ring.field:
                 raise EntryOutsideRingError(
-                    f"entry {x!r} is not in the declared field")
+                    f"entry {_written(x, repr)} is not in the declared field")
     D = d = _denominator(g)
     for p in ring.primes:
         d //= p ** _int_val(d, p)

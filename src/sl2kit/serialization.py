@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .bttree import canonicalize
+from .bttree import TreeVertex, _reduce_offset
 from .errors import DegenerateInputError, UnsupportedError
 from .hyperbolic import HPoint
 from .matrices import Matrix, mat
@@ -122,7 +122,7 @@ def encode_vertex(v) -> dict:
 
 
 def parse_vertex(obj, ctx):
-    """Read {"n": int, "b": element} and canonicalize it in ctx."""
+    """Read {"n": int, "b": element}, its offset reduced in ctx."""
     if not isinstance(obj, dict) or set(obj) != {"n", "b"}:
         raise ValueError('a vertex document is {"n": int, "b": element}')
     n = obj["n"]
@@ -130,11 +130,10 @@ def parse_vertex(obj, ctx):
         raise ValueError("vertex exponent n must be an integer")
     b = ctx.coerce(parse_scalar(obj["b"], ctx.field))
     bits = abs(n) * (ctx.p - 1).bit_length()
-    if bits > 1 << 14:  # canonicalizing p**n takes time quadratic in |n|
+    if bits > 1 << 14:  # reducing b builds p**(n + e) and inverts modulo it
         raise UnsupportedError(f"vertex exponent n = {n} is out of range: "
                                f"|n| * ceil(log2 p) = {bits} exceeds 2**14")
-    p_pow_n = Fraction(ctx.p) ** n
-    return canonicalize(mat([[p_pow_n, b], [0, 1]]), ctx)
+    return TreeVertex(ctx, n, _reduce_offset(b, n, ctx))
 
 
 def encode_point(p: HPoint) -> dict:

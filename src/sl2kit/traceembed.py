@@ -222,7 +222,7 @@ def _poly_square(coeffs):
     return tuple(out)
 
 
-def _product(sa, sb):
+def _numerator_product(sa, sb):
     """(Da * Db, A B) for matrices A / Da and B / Db given by numerators."""
     (Da, A), (Db, B) = sa, sb
     cols = tuple(zip(*B))
@@ -273,9 +273,9 @@ def verify_embedding(rep: Rep4, samples) -> dict:
     for k in range(len(samples) - 1):
         pairs += 1
         # rep(a b) against the product of the images, cross-multiplied
-        D, rows = _numerators(rep(_over(*_product(
+        D, rows = _numerators(rep(_over(*_numerator_product(
             sample_nums[k], sample_nums[k + 1]))).rows)
-        den, prod = _product(image_nums[k], image_nums[k + 1])
+        den, prod = _numerator_product(image_nums[k], image_nums[k + 1])
         if not all(x * den == D * y for row, prod_row in zip(rows, prod)
                    for x, y in zip(row, prod_row)):
             failures.append(

@@ -225,6 +225,27 @@ def test_displacement_over_x2_plus_8194_answers(capsys, g, cosh):
     assert json.loads(out)["result"]["hyp"] == float12(math.acosh(cosh))
 
 
+@pytest.mark.parametrize("minpoly", [
+    f"[{2**1024}, 0, 1]",      # numpy.roots meets a coefficient of 2^1024
+    f"[1, 0, {2**1023}, 1]",   # the Newton polish meets f' with 2^1024
+], ids=["roots", "polish"])
+def test_minpoly_beyond_float_range_is_unsupported(capsys, minpoly):
+    rc, out = run(["displacement", "--minpoly", minpoly,
+                   "--g", '[["1","1"],["0","1"]]'], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["code"] == "Unsupported"
+    assert "beyond float range" in result["message"]
+
+
+def test_minpoly_at_the_float_range_edge_answers(capsys):
+    # x^2 + 2^1023: every coefficient and the root i 2^511.5 are floats
+    rc, out = run(["displacement", "--minpoly", f"[{2**1023}, 0, 1]",
+                   "--g", '[["1","1"],["0","1"]]'], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"]["hyp"] == 0.962423650119
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10**9))
 @example(8194)
@@ -894,3 +915,37 @@ def test_module_entry_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == \
         '{"diagnostics": [], "result": {"value": 2}, "status": "ok"}\n'
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ("1e4300", "<a number of more than 4300 digits>"),
+    ("1e43", f"{10**43} + 1*g"),
+])
+def test_entry_outside_the_field_prints_one_envelope(capsys, entry, shown):
+    # an entry over Q(i) against a group over Q(omega); 10^4300 has 4,301
+    # digits, one more than Python writes
+    group = '{"minpoly": [1,1,1], "generators": [[["1","1"],["0","1"]]]}'
+    rc, out = run(["displacement", "--minpoly", "[1,0,1]",
+                   "--g", f'[["1",["{entry}","1"]],["0","1"]]',
+                   "--group", group], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["code"] == "EntryOutsideRing"
+    assert result["message"] == f"entry {shown} is not in the declared field"
+
+
+@pytest.mark.parametrize("minpoly, witness, message", [
+    ("[0,0,1]", [0, 1], "polynomial x^2 factors over Q; one factor is x"),
+    ("[-1,0,1]", [-1, 1],
+     "polynomial x^2 + -1 factors over Q; one factor is x + -1"),
+    ("[4,0,0,0,1]", [2, 2, 1],
+     "polynomial x^4 + 4 factors over Q; one factor is x^2 + 2*x + 2"),
+])
+def test_reducible_minpoly_envelope(capsys, minpoly, witness, message):
+    rc, out = run(["valuate", "--p", "3", "--minpoly", minpoly,
+                   "--x", '["1"]'], capsys)
+    assert rc == 2
+    assert json.loads(out) == {
+        "diagnostics": [], "status": "error",
+        "result": {"code": "Reducible", "message": message,
+                   "witness": witness}}

@@ -126,3 +126,37 @@ def test_the_private_definition_check_catches_an_unread_name():
 def test_no_unread_private_definitions():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_definitions(texts) == []
+
+
+def _names_defined_twice(texts):
+    """(name, modules) for each top-level function, class or assigned name
+    that more than one of the modules defines."""
+    where = {}
+    for module, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, _DEFS):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            for name in names:
+                where.setdefault(name, set()).add(module)
+    return sorted((name, sorted(modules)) for name, modules in where.items()
+                  if len(modules) > 1)
+
+
+def test_the_name_check_catches_a_name_defined_twice():
+    texts = {"a.py": ("import math\n_TOL: float = 1e-9\n"
+                      "def _product(x, y):\n    return x * y\n"
+                      "class Kept:\n    def _product(self):\n        return 0\n"),
+             "b.py": ("from a import Kept\n_TOL = 1e-12\nLIMIT = 3\n"
+                      "def _product(x):\n    return x\n"),
+             "c.py": "LIMIT, OTHER = 3, 4\nclass _product:\n    pass\n"}
+    assert _names_defined_twice(texts) == [
+        ("_TOL", ["a.py", "b.py"]), ("_product", ["a.py", "b.py", "c.py"])]
+
+
+def test_no_name_defined_in_two_modules():
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _names_defined_twice(texts) == []
