@@ -79,9 +79,6 @@ class TreeContext(Immutable):
             return Fraction(x)
         return x
 
-    def val(self, x):
-        return self.valuation(x)
-
     def zero(self):
         return self.coerce(0)
 
@@ -183,10 +180,10 @@ def canonicalize(m: Matrix, ctx: TreeContext) -> TreeVertex:
     det = a * d - b * c
     if det == 0:
         raise SingularError("columns do not span a lattice")
-    vd, vc = ctx.val(d), ctx.val(c)
+    vd, vc = ctx.valuation(d), ctx.valuation(c)
     if vd > vc:
         b, d, vd = a, c, vc
-    n = ctx.val(det) - 2 * vd
+    n = ctx.valuation(det) - 2 * vd
     return TreeVertex(ctx, n, _reduce_offset(b / d, n, ctx))
 
 
@@ -204,7 +201,7 @@ def distance(u: TreeVertex, v: TreeVertex) -> int:
     """
     _check_same_tree(u, v)
     dn = v.n - u.n
-    dv = u.ctx.val(v.b - u.b)  # INF when the offsets agree
+    dv = u.ctx.valuation(v.b - u.b)  # INF when the offsets agree
     return dn - 2 * min(dn, dv - u.n, 0)
 
 

@@ -11,10 +11,10 @@ with keys sorted, so output is byte-stable for fixed input.  Exit codes:
 coefficient arrays, matrices as row-major nested arrays; see the
 serialization module.  Floats are printed with 12 significant digits.
 
-The enumeration candidate budget can be capped with the environment
-variable SL2KIT_ENUM_BUDGET or per call with --budget.  tree-ball refuses a
-ball of more than 10^5 vertices, counted before it is walked, and embed
-takes at most 10^4 --samples and samples at most 10^5 letters in all.
+The enumeration walk takes at most a budget of steps, 5 * 10^5 unless the
+environment variable SL2KIT_ENUM_BUDGET or --budget sets another.  tree-ball
+refuses a ball of more than 10^5 vertices, counted before it is walked, and
+embed takes at most 10^4 --samples and samples at most 10^5 letters in all.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .sl2classify import (classify_2dim, make_subalgebra, maximality_factor,
                           normalizes_torus, normalizes_unipotent)
 from .traceembed import Rep4, _select_layered, integral_characteristic, \
     verify_embedding
-from .valuations import INF, PAdicValuation, extend
+from .valuations import INF
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,10 +78,8 @@ def _matrix_sort_key(m: Matrix):
 # ---------------------------------------------------------------------------
 
 def _cmd_valuate(args):
-    val = PAdicValuation(args.p) if args.field is None else \
-        extend(args.p, args.field)
-    x = _load_element(args.x, args.field)
-    v = val(x)
+    val = tree_context(args.p, args.field).valuation
+    v = val(_load_element(args.x, args.field))
     return {"value": "inf" if v == INF else int(v)}, []
 
 
@@ -320,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounded.add_argument("--group", required=True, help=_GROUP_HELP)
     bounded.add_argument("--C", type=float, required=True, help="strict bound")
     bounded.add_argument("--budget", type=int,
-                         help=f"candidate cap (default: ${BUDGET_ENV_VAR} "
-                              "or 10^7)")
+                         help="cap on the enumeration walk's steps "
+                              f"(default: ${BUDGET_ENV_VAR} or 5*10^5)")
 
     p = sub.add_parser("valuate", parents=[prime, field],
                        help="discrete valuation of one element")

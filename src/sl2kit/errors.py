@@ -88,7 +88,7 @@ class UnsupportedError(Sl2KitError):
 
 
 class BudgetExceededError(Sl2KitError):
-    """Enumeration search space exceeds the configured candidate budget."""
+    """The enumeration walk needs more steps than the configured budget."""
 
     code = "BudgetExceeded"
 

@@ -20,9 +20,9 @@ Both refuse a value beyond float range with UnsupportedError.
 Exact field entries reach this module through an ArchimedeanEmbedding, which
 pins down a complex root of the defining polynomial (numpy estimates, Newton
 polish, deterministic descending (Re, Im) ordering, the backward error
-|f(root)| <= 1e-12 sum_k |c_k| |root|^k for f = sum_k c_k x^k enforced: a
-root that misses it, or a coefficient of f or f' beyond float range, is
-refused with UnsupportedError).
+|f(root)| <= 1e-12 sum_k |c_k| |root|^k for f = sum_k c_k x^k enforced on
+values over the largest term: a root that misses it or overflows, or a
+coefficient of f or f' beyond float range, is refused with UnsupportedError).
 
 For a rational g = [[a, b], [c, d]] / D the same displacement is
 arccosh(N / (2 D^2)) with N = a^2 + b^2 + c^2 + d^2, and _HypBound decides
@@ -62,6 +62,19 @@ def _refine_root(coeffs, z: complex) -> complex:
     return z
 
 
+def _accurate(coeffs, z: complex) -> bool:
+    """|f(z)| <= _ROOT_TOL sum_k |c_k| |z|^k, both sides over the largest
+    term so that no sum overflows; False when a side is not finite."""
+    try:
+        terms = [abs(c) * abs(z) ** k for k, c in enumerate(coeffs) if c]
+        top = max(terms) or 1.0  # all terms 0: f(z) = 0 too
+        lhs = abs(_horner(coeffs, z)) / top
+        rhs = _ROOT_TOL * sum(t / top for t in terms)
+    except OverflowError:
+        return False
+    return math.isfinite(lhs + rhs) and lhs <= rhs
+
+
 class ArchimedeanEmbedding(Immutable):
     """Ring map Q(gamma) -> C given by one chosen root of the minimal
     polynomial; with no field it is just Fraction -> float."""
@@ -86,13 +99,11 @@ class ArchimedeanEmbedding(Immutable):
                 raise ValueError(
                     f"root_index out of range 0..{len(refined) - 1}")
             root = refined[root_index]
-            accurate = abs(_horner(coeffs, root)) <= _ROOT_TOL * _horner(
-                [abs(c) for c in coeffs], abs(root))
         except OverflowError:
             raise UnsupportedError(
                 "the defining polynomial or its derivative has a coefficient "
                 "beyond float range; its roots need floats") from None
-        if not accurate:
+        if not _accurate(coeffs, root):
             raise UnsupportedError("root refinement failed its tolerance")
         object.__setattr__(self, "roots", tuple(refined))
         object.__setattr__(self, "root", root)

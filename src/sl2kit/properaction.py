@@ -43,10 +43,10 @@ a21^2 + a22^2 < 2 cosh(C) D^2.  The determinant is a form of signature
 (2, 2), so the search pairs the points of one plane disc whose norms
 differ by 4 D^2 (_det_solutions) and applies the exact hyperbolic
 predicate once per norm; every denominator divides D, so no candidate
-needs a tree test.  Before it starts, the candidate count of the
-enclosing cube |a_ij| <= D sqrt(2 cosh C) + 1 is checked against a budget
-(parameter, else the SL2KIT_ENUM_BUDGET environment variable, else 10^7;
-negative is a usage error); a cube beyond float range is over any budget.
+needs a tree test.  The walk's steps, its scan square plus its pairs, are
+checked against a budget (parameter, else SL2KIT_ENUM_BUDGET, else 5 * 10^5;
+negative is a usage error) before any pair is formed; a C whose 2 cosh C is
+beyond float range is over any budget.
 
 word_bfs produces the empirical side: all distinct products of at most
 max_len generators and inverses, filtered by the same predicate, so that
@@ -70,7 +70,7 @@ from .matrices import Immutable, Matrix
 from .numberfield import FieldElement, NumberField, _normal, _product
 from .valuations import _int_val, _prime_factors
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 500_000
 BUDGET_ENV_VAR = "SL2KIT_ENUM_BUDGET"
 
 
@@ -410,50 +410,46 @@ def _resolve_budget(budget) -> int:
     return budget
 
 
-def _box_size(primes, C: float):
-    """(D, candidates): the common denominator D = prod p^(ceil(C/2) - 1),
-    as 2e < C exactly for e <= ceil(C/2) - 1, and the size (2B+1)^3 +
-    (2B+1)^2 of the box |a_ij| <= B = D sqrt(2 cosh C) + 1, or (None, None)
-    when B is beyond float range (then B > 10^154)."""
-    try:
-        scale = math.sqrt(2.0 * math.cosh(C))
-        e = max(math.ceil(C / 2) - 1, 0)  # C / 2 is 0 at C = 5e-324
-        D = 1
-        for p in primes:  # C < 711 here, so the powers stay small
-            D *= p ** e
-        B = int(D * scale) + 1
-    except OverflowError:
-        return None, None
-    width = 2 * B + 1
-    return D, width ** 3 + width ** 2
-
-
-def _det_solutions(D2: int, hi: int):
+def _det_solutions(D2: int, hi: int, budget: int):
     """(N, [(a11, a12, a21, a22), ...]) for each N < hi that integer
     matrices of determinant D2 attain as N = a11^2 + a12^2 + a21^2 + a22^2,
-    with all of those matrices.
+    with all of those matrices, as an iterator.
 
     u = (a11 + a22, a12 - a21) and v = (a11 - a22, a12 + a21) have |u|^2 -
     |v|^2 = 4 D2 and N = |v|^2 + 2 D2, and each pair with u = v mod 2 is
     one matrix.  So the points of norm k in the disc |u|^2 < hi + 2 D2 pair
     with those of norm k + 4 D2; x^2 + y^2 = x + y mod 2, so within a norm
-    x mod 2 fixes the parity class."""
+    x mod 2 fixes the parity class, and both norms hold the same classes
+    (an odd norm both, by x <-> y; an even one by its value mod 4).
+
+    The walk takes (2m + 1)^2 + P steps, its scan square |x|, |y| <= m and
+    its P pairs; over budget it raises BudgetExceededError, before the scan
+    for the square and before any pair for the square plus P."""
     r = hi + 2 * D2
     m = math.isqrt(r - 1)
+    square = (2 * m + 1) ** 2
+    if square > budget:
+        raise BudgetExceededError(
+            f"the walk scans a square of {_written(square)} points, over the "
+            f"budget of {_written(budget)}")
     disc = defaultdict(lambda: ([], []))  # norm -> points, split by x mod 2
     for x in range(-m, m + 1):
         my = math.isqrt(r - 1 - x * x)
         for y in range(-my, my + 1):
             disc[x * x + y * y][x & 1].append((x, y))
-    for k, vs in disc.items():
-        us = disc.get(k + 4 * D2)
-        if us is None:
-            continue
-        found = [((u0 + v0) >> 1, (u1 + v1) >> 1, (v1 - u1) >> 1,
+    matched = [(k + 2 * D2, vs, us) for k, vs in disc.items()
+               if (us := disc.get(k + 4 * D2))]
+    steps = square + sum(len(vs[e]) * len(us[e])
+                         for _, vs, us in matched for e in (0, 1))
+    if steps > budget:
+        raise BudgetExceededError(
+            f"the walk takes {_written(steps)} steps (a square of "
+            f"{_written(square)} points and {_written(steps - square)} "
+            f"pairs), over the budget of {_written(budget)}")
+    return ((N, [((u0 + v0) >> 1, (u1 + v1) >> 1, (v1 - u1) >> 1,
                   (u0 - v0) >> 1)
-                 for e in (0, 1) for v0, v1 in vs[e] for u0, u1 in us[e]]
-        if found:
-            yield k + 2 * D2, found
+                 for e in (0, 1) for v0, v1 in vs[e] for u0, u1 in us[e]])
+            for N, vs, us in matched)
 
 
 def enumerate_bounded(group: MarkedGroup, C: float,
@@ -462,11 +458,10 @@ def enumerate_bounded(group: MarkedGroup, C: float,
 
     Candidates are [[a11, a12], [a21, a22]] / D with D = prod p^(ceil(C/2)
     - 1) (the tree bound), so each one moves every tree by less than C.
-    The budget is checked against the cube |a_ij| <= D*sqrt(2 cosh C) + 1;
-    the search itself lists the integer matrices of determinant D^2 by
-    norm N = sum a_ij^2 < hi, the float cut above 2 cosh(C) D^2
-    (_det_solutions), and applies the exact hyperbolic predicate once per
-    norm.
+    The search lists the integer matrices of determinant D^2 by norm N =
+    sum a_ij^2 < hi, the float cut above 2 cosh(C) D^2 (_det_solutions,
+    which checks the budget), and applies the exact hyperbolic predicate
+    once per norm.
     """
     if group.ring.field is not None:
         raise UnsupportedError(
@@ -478,22 +473,20 @@ def enumerate_bounded(group: MarkedGroup, C: float,
     if C == math.inf:
         raise ValueError("the bound C must be finite")
     budget = _resolve_budget(budget)
-    D, candidates = _box_size(group.ring.primes, C)
-    if candidates is None:
-        raise BudgetExceededError(
-            f"search box holds over 10^462 candidate tuples (beyond float "
-            f"range), over the budget of {budget}")
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"search box holds ~{candidates} candidate tuples, over the "
-            f"budget of {budget}")
-    D2 = D * D
     bound = _HypBound(C)
+    if bound.cut(1)[1] == math.inf:
+        raise BudgetExceededError(
+            f"2 cosh C is beyond float range, so the walk scans over 10^308 "
+            f"points, over the budget of {_written(budget)}")
+    e = max(math.ceil(C / 2) - 1, 0)  # C / 2 is 0 at C = 5e-324
+    D = math.prod(group.ring.primes) ** e
+    D2 = D * D
     _, hi = bound.cut(D2)
+    walk = _det_solutions(D2, hi, budget)  # the budget check, before fr
     m = math.isqrt(hi - 1)  # |a_ij| <= m for N < hi
     fr = [Fraction(n, D) for n in range(-m, m + 1)]
     found = []
-    for N, solutions in _det_solutions(D2, hi):
+    for N, solutions in walk:
         if bound.below(N, D2):
             found.extend(Matrix(((fr[a11 + m], fr[a12 + m]),
                                  (fr[a21 + m], fr[a22 + m])))

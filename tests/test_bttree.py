@@ -265,6 +265,19 @@ def test_extension_tree_distance_example():
     assert distance(v0, act(g, v0)) == 2
 
 
+def test_coerce_keeps_each_tree_in_its_field():
+    k = make_field([1, 0, 1])
+    with pytest.raises(ValueError, match="different field"):
+        tree_context(3, k).coerce(make_field([-2, 0, 1]).gamma())
+    x = tree_context(3).coerce(k.from_rational(Fraction(2, 3)))
+    assert type(x) is Fraction and x == Fraction(2, 3)
+
+
+def test_distance_across_two_trees_raises():
+    with pytest.raises(ValueError, match="different trees"):
+        distance(base_vertex(tree_context(2)), base_vertex(tree_context(3)))
+
+
 def test_contexts_built_apart_are_equal():
     a = tree_context(3, make_field([1, 0, 1]))
     b = tree_context(3, make_field([1, 0, 1]))

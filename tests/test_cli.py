@@ -117,6 +117,13 @@ def test_tree_dist_vertex_pair(capsys):
     assert json.loads(out)["result"]["distance"] == 2
 
 
+def test_tree_dist_singular_g_exit_2(capsys):
+    rc, out = run(["tree-dist", "--p", "2", "--g", '[["1","1"],["1","1"]]'],
+                  capsys)
+    assert rc == 2 and out.count("\n") == 1
+    assert json.loads(out)["result"]["code"] == "Singular"
+
+
 def test_tree_ball_golden(capsys):
     expect = ('{"diagnostics": [], "result": {"size": 4, "vertices": '
               '[{"b": "0", "n": -1}, {"b": "0", "n": 0}, {"b": "0", "n": 1},'
@@ -282,13 +289,42 @@ def test_enumerate_budget_exit_2(capsys):
 
 def test_enumerate_even_bound_fits_budget(capsys):
     # at C = 4 the trees admit denominators 2^1 only (2 v_2 < 4), so the
-    # budget cube is counted at D = 2, not 4
+    # walk is sized at D = 2, not 4
     group = ('{"generators": [[["0","-1"],["1","0"]],[["1","1"],["0","1"]],'
              '[["2","0"],["0","1/2"]]]}')
     rc, out = run(["enumerate", "--group", group, "--C", "4",
                    "--budget", "100000"], capsys)
     assert rc == 0
     assert json.loads(out)["result"]["count"] == 2268
+
+
+@pytest.mark.parametrize("budget, rc", [("1000", 0), ("213", 0), ("212", 2)])
+def test_enumerate_budget_counts_the_walk(capsys, budget, rc):
+    # SL(2, Z) at C = 3: a scan square of 9^2 = 81 points and 132 pairs,
+    # one per element, so 213 steps
+    got, out = run(["enumerate", "--group", SL2Z, "--C", "3",
+                    "--budget", budget], capsys)
+    result = json.loads(out)["result"]
+    assert got == rc
+    if rc == 0:
+        assert result["count"] == 132
+    else:
+        assert result["code"] == "BudgetExceeded"
+        assert "213 steps" in result["message"]
+        assert result["message"].endswith("over the budget of 212")
+
+
+def test_enumerate_budget_message_with_a_huge_walk(capsys):
+    # over the first ten primes D = (2 * 3 * ... * 29)^349 at C = 700, and
+    # the scan square has about 7,150 digits
+    gens = [[[str(p), "0"], ["0", f"1/{p}"]]
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    rc, out = run(["enumerate", "--group", json.dumps({"generators": gens}),
+                   "--C", "700"], capsys)
+    assert rc == 2 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["code"] == "BudgetExceeded"
+    assert "over the budget of 500000" in result["message"]
 
 
 def test_enumerate_nan_bound_is_usage_error(capsys):

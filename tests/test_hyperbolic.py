@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import sl2kit.hyperbolic as hyperbolic
 from oracles import displacement_oracle, random_sl2z
 from sl2kit import (BASEPOINT, ArchimedeanEmbedding, DegenerateInputError,
-                    HPoint, Matrix, displacement_hyp, embed_matrix,
-                    hyp_distance, make_field, mat, mobius_act)
+                    HPoint, Matrix, UnsupportedError, displacement_hyp,
+                    embed_matrix, hyp_distance, make_field, mat, mobius_act)
 
 
 def test_embed_rationals():
@@ -206,3 +207,14 @@ def test_embedding_root_is_actual_root():
             e = ArchimedeanEmbedding(k, root_index=idx)
             val = sum(c * e.root**j for j, c in enumerate(coeffs))
             assert abs(val) < 1e-8
+
+
+@pytest.mark.parametrize("c", [2, 2 ** 1023], ids=["2", "2^1023"])
+def test_embedding_refuses_a_root_whose_check_overflows(monkeypatch, c):
+    # at z = 1e300 i, f(z) and |z|^2 leave float range, so the backward
+    # error |f(z)| <= 1e-12 sum |c_k| |z|^k compares inf with inf
+    k = make_field([c, 0, 1])
+    assert abs(ArchimedeanEmbedding(k).root ** 2 + c) <= 1e-12 * 2 * c
+    monkeypatch.setattr(hyperbolic, "_refine_root", lambda coeffs, z: 1e300j)
+    with pytest.raises(UnsupportedError):
+        ArchimedeanEmbedding(k)

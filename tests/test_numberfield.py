@@ -266,6 +266,28 @@ def test_mixed_scalar_ops():
     assert (6 / (g + 1)).field is k
 
 
+def test_degree_one_field_gamma_is_its_root():
+    k = make_field([5, 1])  # x + 5
+    assert k.degree == 1
+    assert k.gamma().is_rational and k.gamma().as_fraction() == -5
+
+
+def test_float_and_bool_operands_raise():
+    g = make_field([-5, 0, 1]).gamma()
+    for other in (1.5, True):
+        for op in (lambda: g + other, lambda: other * g, lambda: g - other):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_rational_of_another_field_lifts_in_a_sum():
+    k, other = make_field([1, 0, 1]), make_field([-2, 0, 1])
+    s = k.gamma() + other.from_rational(Fraction(3, 2))
+    assert s.field is k and s == k.element((Fraction(3, 2), 1))
+    with pytest.raises(TypeError):  # an irrational one does not lift
+        k.gamma() + other.gamma()
+
+
 def test_is_rational_and_as_fraction():
     k = make_field([-5, 0, 1])
     x = k.from_rational(Fraction(7, 2))

@@ -154,7 +154,7 @@ def test_det_solutions_match_a_four_loop(D2):
     expect = _brute_det_solutions(D2, 2 * D2 + 25)
     top = max(sum(x * x for x in sol) for sol in expect)
     for hi in (top, top + 1):  # the norm top is attained
-        got = list(pa._det_solutions(D2, hi))
+        got = list(pa._det_solutions(D2, hi, 10 ** 6))
         norms = [N for N, _ in got]
         assert len(norms) == len(set(norms)) and (top in norms) == (hi > top)
         flat = [sol for _, sols in got for sol in sols]
@@ -163,6 +163,18 @@ def test_det_solutions_match_a_four_loop(D2):
         for N, sols in got:
             assert all(sum(x * x for x in sol) == N for sol in sols)
         assert any(sol[0] == 0 for sol in flat)  # a11 = 0 is not special
+
+
+@pytest.mark.parametrize("D2", [1, 4, 9])
+def test_det_solutions_budget_is_square_plus_pairs(D2):
+    # the walk's steps: the square |x|, |y| <= m it scans for the disc
+    # |u|^2 < hi + 2 D2, plus one per matrix, counted by the four-loop
+    hi = 2 * D2 + 25
+    m = math.isqrt(hi + 2 * D2 - 1)
+    steps = (2 * m + 1) ** 2 + len(_brute_det_solutions(D2, hi))
+    assert len(list(pa._det_solutions(D2, hi, steps))) > 0
+    with pytest.raises(BudgetExceededError, match=f"budget of {steps - 1}$"):
+        pa._det_solutions(D2, hi, steps - 1)
 
 
 def test_enumerate_modular_group_tiny_bound():
@@ -242,10 +254,10 @@ def test_enumerate_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError, match="NaN"):
         enumerate_bounded(group, math.nan)
 
-    def no_box(*args):
-        raise AssertionError("sized the search box before the budget check")
+    def no_sizing(*args):
+        raise AssertionError("sized the search before the budget check")
 
-    monkeypatch.setattr(pa, "_box_size", no_box)
+    monkeypatch.setattr(pa, "_HypBound", no_sizing)
     with pytest.raises(ValueError, match="budget"):
         enumerate_bounded(group, 1.0, budget=-1)
     monkeypatch.setenv("SL2KIT_ENUM_BUDGET", "-5")

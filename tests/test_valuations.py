@@ -139,6 +139,14 @@ def test_extend_accepted_cases():
     assert extend(3, make_field([1, 0, 1])).residue_size == 9
 
 
+def test_extend_over_a_degree_one_field():
+    # x + 5 has no proper factor mod any p: the gate passes at once
+    k = make_field([5, 1])
+    v = extend(3, k)
+    assert v.residue_size == 3
+    assert v(k.from_rational(Fraction(9, 2))) == 2
+
+
 def test_extend_quartic():
     # x^4 + x + 1 stays irreducible mod 2
     v = extend(2, make_field([1, 1, 0, 0, 1]))
